@@ -9,7 +9,10 @@ Modes:
   digest only;
 * ``setup``     — set up and stop before the first timed event;
 * ``trace``     — ``measure`` with the layer spans of ``spans`` armed;
-  writes the spans under ``PREFIX`` and adds per-layer numbers.
+  writes the spans under ``PREFIX`` and adds per-layer numbers;
+* ``trace-reference`` — ``reference`` with the spans armed, so a layer
+  that only the reference route exercises (the shard engine behind
+  ``regions_ctrl``) is measured too.
 
 Prints one JSON object as its last line.  ``run.py`` starts a fresh
 process per run because some program state is process-global (flow ids
@@ -161,12 +164,14 @@ def main() -> None:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument(
-        "--mode", choices=("measure", "reference", "setup", "trace"), required=True
+        "--mode",
+        choices=("measure", "reference", "setup", "trace", "trace-reference"),
+        required=True,
     )
     parser.add_argument("--out", default=None, help="path prefix for span files")
     args = parser.parse_args()
 
-    traced = args.mode == "trace"
+    traced = args.mode.startswith("trace")
     recorder = None
     if traced:
         import spans
@@ -176,7 +181,8 @@ def main() -> None:
 
     import workloads
 
-    exp = workloads.build(args.workload, args.seed, reference=args.mode == "reference")
+    reference = args.mode.endswith("reference")
+    exp = workloads.build(args.workload, args.seed, reference=reference)
     net = exp.net
     if exp.warmup_ns:
         net.run(until_ns=exp.warmup_ns)

@@ -15,7 +15,9 @@ it imports can colour a measurement.  One invocation:
    (at least three), then extra set-up-only runs, and reports the median
    of each end-to-end metric; with ``--trace 1``, alternates untraced and
    traced runs and reports the median per-layer metrics, the tracing
-   overhead, and whether layer time sits where ``design.json`` predicts;
+   overhead, and whether layer time sits where ``design.json`` predicts.
+   The reference is traced too, and the ``shard.*`` metrics of a workload
+   whose own runs are unsharded come from its sharded reference route;
 4. compares every run's output digest with the reference.  A mismatch,
    or a failed semantic check, is a failed operation.
 
@@ -70,6 +72,9 @@ def child(workload: str, seed: int, mode: str, out: str | None = None) -> dict:
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # One string-hash seed for every run, so dict and set layouts (and the
+    # time spent in them) do not change from one process to the next.
+    env["PYTHONHASHSEED"] = "0"
     proc = subprocess.run(
         cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S
     )
@@ -154,14 +159,17 @@ def verdict(run: dict, reference: str) -> list[str]:
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool, spec: dict, design: dict):
-    reference = child(workload, seed, "reference")
+    prefix = os.path.join(OUT_DIR, f"{workload}-{seed}-")
+    if trace:
+        reference = child(workload, seed, "trace-reference", out=f"{prefix}ref-")
+    else:
+        reference = child(workload, seed, "reference")
     failures: list[str] = [f"reference: {p}" for p in reference["problems"]]
     ref_digest = reference["digest"]
     untraced: list[dict] = []
     traced: list[dict] = []
     attempted = failed = 0
     start = time.perf_counter()
-    prefix = os.path.join(OUT_DIR, f"{workload}-{seed}-")
     while True:
         runs = [child(workload, seed, "measure")]
         untraced.append(runs[0])
@@ -188,6 +196,14 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, spec: dict, d
         layers["spans.overhead_ratio"] = med(r["wall_s"] for r in traced) / med(
             r["wall_s"] for r in untraced
         )
+        if not layers["shard.rounds"]:
+            # The workload's own runs never enter the shard engine; its
+            # reference route may (regions_ctrl checks against shards=2).
+            layers.update(
+                (name, value)
+                for name, value in reference["layers"].items()
+                if name.startswith("shard.")
+            )
         sanity = trace_sanity(workload, layers, design)
         failures += sanity
         metrics = {m["name"]: (layers[m["name"]], m["unit"]) for m in spec["per_layer"]}

@@ -4,17 +4,16 @@ Each workload is a whole scheduler-driven experiment built through
 ``repro.lab``: generators feed qdiscs and links, nodes run their staged
 pipeline and eBPF programs, and sinks count what arrives.  A build takes
 the benchmark seed and nothing else; the seed reaches the program only as
-generated inputs (the network seed, flow start phases, source-port draws
-and the choice of flapping link).
+generated inputs (the network seed, flow start phases, source-port draws,
+and on regions the flapping link and the traced flows).
 
 Every experiment has a *reference* variant that must produce the same
 simulated outputs by an independent route:
 
 * ``chain_endbpf`` and ``hybrid_wrr`` run their eBPF programs in the
   interpreter instead of the JIT;
-* ``regions_ctrl`` runs under the sharded engine, and ``regions_sharded``
-  runs in a single process, so each regions workload is checked against
-  the other engine.
+* ``regions_ctrl`` runs under the sharded engine (``shards=2``), so the
+  single-process run is checked against the other engine.
 
 :func:`digest` hashes the simulated outputs (per-sink counts, delay sums
 and reservoirs, node/link/qdisc/CPU/TCP counters, and the canonical
@@ -53,7 +52,7 @@ HYBRID_TCP_WINDOW = 14 * 1400  # window-limited (iperf3 -w), so its load is stea
 HYBRID_WARMUP_NS = 50 * NS_PER_MS
 HYBRID_UNTIL_NS = 550 * NS_PER_MS
 
-# -- regions_ctrl / regions_sharded -------------------------------------------
+# -- regions_ctrl: four IGP rings with FRR, telemetry and tracing ------------
 REGIONS = 4
 REGION_SIZE = 4
 INTRA_DELAY_NS = 50_000
@@ -136,7 +135,7 @@ def region_addr(region: int, i: int) -> str:
 
 def build_regions(seed: int, shards: int) -> Experiment:
     """Four rings of four nodes joined by 5 ms trunks, IGP with TI-LFA FRR,
-    one flapping intra-region link, telemetry and sampled tracing."""
+    one flapping intra-region link, telemetry and tracing of two flows."""
     rng = random.Random(seed)
     net = Network(seed=seed)
     for region in range(REGIONS):
@@ -176,8 +175,11 @@ def build_regions(seed: int, shards: int) -> Experiment:
             payload_size=600,
         )
         cross.start(at_ns=rng.randrange(NS_PER_MS))
-    # Sampled tracing, plus one flow always traced so every seed has records.
-    net.trace(sample=4, flows=[net.flows[0]])
+    # Trace one local and one cross-region flow, drawn from the seed.  Hash
+    # sampling would admit from one to all eight flows depending on the
+    # seed, so the trace layer's share of the run would follow the seed.
+    local, cross = net.flows[0::2], net.flows[1::2]
+    net.trace(sample=0, flows=[rng.choice(local), rng.choice(cross)])
     flap_region = rng.randrange(REGIONS)
     flap_i = rng.randrange(REGION_SIZE)
     a = region_node(flap_region, flap_i)
@@ -185,8 +187,7 @@ def build_regions(seed: int, shards: int) -> Experiment:
     for start_ms in range(FLAP_PERIOD_MS // 2, REGIONS_UNTIL_NS // NS_PER_MS, FLAP_PERIOD_MS):
         net.fail_link(a, b, at_ns=start_ms * NS_PER_MS)
         net.recover_link(a, b, at_ns=(start_ms + FLAP_DOWN_MS) * NS_PER_MS)
-    name = "regions_sharded" if shards > 1 else "regions_ctrl"
-    return Experiment(name, net, 0, REGIONS_UNTIL_NS, shards=shards)
+    return Experiment("regions_ctrl", net, 0, REGIONS_UNTIL_NS, shards=shards)
 
 
 def build(workload: str, seed: int, reference: bool = False) -> Experiment:
@@ -197,8 +198,6 @@ def build(workload: str, seed: int, reference: bool = False) -> Experiment:
         return build_hybrid(seed, reference)
     if workload == "regions_ctrl":
         return build_regions(seed, shards=2 if reference else 1)
-    if workload == "regions_sharded":
-        return build_regions(seed, shards=1 if reference else 2)
     raise KeyError(f"unknown workload {workload!r}")
 
 
