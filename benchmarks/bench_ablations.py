@@ -18,7 +18,8 @@ Three sweeps beyond the paper's reported points:
 import pytest
 
 from repro.bench import BATCH_SIZE, copy_batch, drive_batch
-from repro.sim import build_setup2, mbps
+from repro.lab import build_setup2
+from repro.sim import mbps
 from repro.sim.scheduler import NS_PER_MS, NS_PER_SEC
 from repro.usecases import deploy_hybrid_access
 

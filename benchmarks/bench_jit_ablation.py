@@ -1,18 +1,19 @@
 """§3.2 JIT ablation — "the throughput ... is divided by a factor of 1.8".
 
-Measures each eBPF program's End.BPF datapath throughput across the three
-execution engines: the interpreter, the original v1 translator (kept
-exactly for this ablation) and the v2 translator (region-specialised
-memory, threaded dispatch).  The paper reports the interp-vs-JIT factor
-for Add TLV and notes "similar factors ... on other programs with
-similar complexities" and that the factor grows with instruction count —
-both properties asserted here.
+Measures each eBPF program's End.BPF datapath throughput on the two
+execution engines: the interpreter and the JIT (the v2 translator:
+region-specialised memory, threaded dispatch).  The paper reports the
+interp-vs-JIT factor for Add TLV and notes "similar factors ... on other
+programs with similar complexities" and that the factor grows with
+instruction count — both properties asserted here.
 
 The v2 rows are additionally held to the archived first-landing numbers
 (``BENCH_pr4.json``): re-landing the batch-resident datapath must
 reproduce the throughput that justified it, not merely beat the
-interpreter.  Results are written to ``BENCH_jit_ablation.json``
-(override with ``REPRO_BENCH_JSON``) for CI to archive.
+interpreter, and the program-level factor must stay within 0.85 of the
+archived factor of the v1 translator that v2 replaced.  Results are
+written to ``BENCH_jit_ablation.json`` (override with
+``REPRO_BENCH_JSON``) for CI to archive.
 """
 
 import json
@@ -33,7 +34,7 @@ PROGRAMS = {
 }
 
 # jit= argument per engine row.
-ENGINES = {"interp": False, "jit_v1": "v1", "jit_v2": True}
+ENGINES = {"interp": False, "jit_v2": True}
 
 # Archived v2 interp-relative datapath factors from the first landing
 # (BENCH_pr4.json, jit_ablation.datapath_factors.*.jit_v2).  The floor
@@ -41,6 +42,11 @@ ENGINES = {"interp": False, "jit_v1": "v1", "jit_v2": True}
 # re-landed fast path lost what the revert was supposed to preserve.
 PR4_V2_FACTORS = {"add_tlv": 2.73, "tag_increment": 2.39, "end_t": 1.71}
 PR4_TOLERANCE = 0.7
+
+# Archived program-level Add TLV factor of the v1 translator v2 replaced
+# (BENCH_pr4.json, jit_ablation.program_level_add_tlv: jit_v1 77851.3 /
+# interp 41872.5 pps).  v2 must not fall below 0.85 of it.
+PR4_V1_PROGRAM_FACTOR = 1.86
 
 RESULTS: dict[tuple[str, str], float] = {}
 
@@ -99,14 +105,12 @@ def test_program_level_jit_factor_report(benchmark):
         pytest.skip("program-level benchmarks did not run")
     benchmark.pedantic(lambda: None, rounds=1)
     factor = PROGRAM_LEVEL["interp"] / PROGRAM_LEVEL["jit_v2"]
-    v1_factor = PROGRAM_LEVEL["interp"] / PROGRAM_LEVEL["jit_v1"]
     print(f"\n=== program-level JIT factor (Add TLV): v2 x{factor:.2f}, "
-          f"v1 x{v1_factor:.2f} (paper: x1.8) ===")
+          f"archived v1 x{PR4_V1_PROGRAM_FACTOR:.2f} (paper: x1.8) ===")
     benchmark.extra_info["program_level_jit_factor"] = round(factor, 2)
-    benchmark.extra_info["program_level_jit_factor_v1"] = round(v1_factor, 2)
     assert factor > 1.2
-    # v2 must not regress below the v1 translator it replaces.
-    assert factor >= v1_factor * 0.85
+    # v2 must not regress below the v1 translator it replaced.
+    assert factor >= PR4_V1_PROGRAM_FACTOR * 0.85
 
 
 def test_jit_factors_report(benchmark):
@@ -122,8 +126,7 @@ def test_jit_factors_report(benchmark):
             for engine in ENGINES
             if engine != "interp"
         }
-        print(f"  {name:<15} v1 x{factors[name]['jit_v1']:.2f}   "
-              f"v2 x{factors[name]['jit_v2']:.2f}")
+        print(f"  {name:<15} v2 x{factors[name]['jit_v2']:.2f}")
     benchmark.extra_info["factors"] = {
         k: {e: round(f, 2) for e, f in v.items()} for k, v in factors.items()
     }

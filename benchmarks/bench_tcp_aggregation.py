@@ -15,7 +15,8 @@ parallel connections do at least as well as one.
 
 import pytest
 
-from repro.sim import build_setup2, mbps
+from repro.lab import build_setup2
+from repro.sim import mbps
 from repro.sim.scheduler import NS_PER_SEC
 from repro.usecases import deploy_hybrid_access
 

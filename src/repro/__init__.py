@@ -22,9 +22,6 @@ The package provides, in pure Python:
 
 __version__ = "1.0.0"
 
-# sim before lab: repro.sim.topology re-exports the lab-built setups, so
-# importing sim pulls repro.lab in with the sim submodules already loaded.
-from . import ebpf, net, progs, sim
-from . import lab, usecases, userspace
+from . import ebpf, lab, net, progs, sim, usecases, userspace
 
 __all__ = ["ebpf", "lab", "net", "progs", "sim", "usecases", "userspace", "__version__"]

@@ -40,7 +40,6 @@ BPF_DW = 0x18  # 8 bytes
 SIZE_MASK = 0x18
 
 SIZE_BYTES = {BPF_B: 1, BPF_H: 2, BPF_W: 4, BPF_DW: 8}
-BYTES_TO_SIZE = {1: BPF_B, 2: BPF_H, 4: BPF_W, 8: BPF_DW}
 
 # ---------------------------------------------------------------------------
 # Mode modifiers for load/store classes (bits 5-7).

@@ -16,7 +16,7 @@ from .asm import assemble
 from .errors import BpfError
 from .helpers import HelperContext, install_map_regions, map_handle_addr
 from .insn import Instruction, flatten
-from .jit import JitProgram, JitProgramV1
+from .jit import JitProgram
 from .maps import Map
 from .memory import Memory
 from .verifier import Verifier
@@ -47,9 +47,8 @@ class Program:
     jit:
         Select the execution engine; mirrors
         ``/proc/sys/net/core/bpf_jit_enable``.  ``True`` compiles with
-        the v2 translator (region-specialised memory, threaded
-        dispatch), ``"v1"`` with the original translator (kept for
-        ablation benchmarks), ``False`` interprets.
+        the translator (region-specialised memory, threaded dispatch),
+        ``False`` interprets.
     allowed_helpers:
         Optional whitelist of helper ids (hooks restrict their helper
         sets); ``None`` allows every registered helper.
@@ -89,9 +88,7 @@ class Program:
             insn.opcode == (isa.BPF_JMP | isa.BPF_CALL) for insn in self.insns
         )
         self._interp = Interpreter(self.insns)
-        if jit == "v1":
-            self._jit = JitProgramV1(self.insns)
-        elif jit:
+        if jit:
             self._jit = JitProgram(self.insns, regions=self.region_hints)
         else:
             self._jit = None

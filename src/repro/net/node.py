@@ -36,6 +36,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable
 
+from ..ebpf.jit import _JIT_V2_STATS
 from .addr import as_addr, ntop, parse_prefix
 from .fib import MAIN_TABLE, FibTable, Nexthop, Route
 from .icmpv6 import Icmpv6Message, dest_unreachable, echo_reply, time_exceeded
@@ -47,15 +48,6 @@ from .seg6 import Seg6Encap
 from .seg6local import _FORWARD, Disposition, EndBPF, Seg6LocalAction
 
 _RECIRCULATION_BUDGET = 8
-
-# Batch-resident grouping guard (the PR 4 revert fix): after every packet
-# of a batch-resident End.BPF group, the main table's generation is
-# compared against its value at group formation; a mismatch — an eBPF
-# continuation or listener mutated the FIB mid-group — flushes the group
-# so the remaining packets re-resolve their route before dispatch.
-# Module-level so the regression test can disable it and demonstrate the
-# stale-route hazard it closes.
-FIB_GENERATION_GUARD = True
 
 # Stage outcomes.  Each pipeline stage returns one of these: fall through
 # to the next stage, re-enter the routing decision (the packet's headers
@@ -399,99 +391,29 @@ class Node:
 
         The group shares one armed :class:`~repro.ebpf.jit.CompiledHandler`
         (per-packet re-arm is the light resident variant) but keeps exact
-        scalar semantics: each packet's disposition is applied — and its
-        pipeline continuation run — *before* the next packet executes, so
-        side effects (map state, perf events, locally generated ICMP,
+        scalar semantics: each packet runs the whole staged pipeline —
+        disposition and continuation — *before* the next packet executes,
+        so side effects (map state, perf events, locally generated ICMP,
         listener callbacks) interleave in arrival order.
 
-        After each packet, the main table's generation is compared to its
-        value at group formation (:data:`FIB_GENERATION_GUARD`): an eBPF
-        continuation that mutated the FIB flushes the group, and the
+        Because an eBPF program or its continuation may mutate the FIB,
+        after each packet the main table's generation is compared to its
+        value at group formation; a mismatch flushes the group, and the
         caller re-resolves the remaining packets against the new FIB.
         Returns the index of the first unprocessed packet.
         """
-        from ..ebpf.jit import _JIT_V2_STATS
-
-        counters = self.counters
         table = self.tables[MAIN_TABLE]
         generation = table.generation
-        encap = route.encap
-        handler = encap.group_handler()
+        handler = route.encap.group_handler()
         run = self._run_pipeline
-        lookup = self._lookup_route
-        process_resident = encap.process_resident
-        devices = self.devices
-        egress = self._egress_batch
-        name = self.name
-        ecmp_seed = self.ecmp_seed
-        budget = _RECIRCULATION_BUDGET - 1
-        guard = FIB_GENERATION_GUARD
         _JIT_V2_STATS["bpf_groups"] += 1
-        processed = 0
         i = start
         while i < end:
-            pkt = pkts[i]
-            processed += 1
-            tctx = pkt.tctx
-            if tctx is not None:
-                # Mirror the scalar path's instants so a traced packet's
-                # span stream is identical whichever path dispatched it.
-                t = self.clock_ns()
-                tctx.append((t, t, "stage:lookup", name, ""))
-                tctx.append((t, t, "stage:seg6local", name, encap.kind))
-            disposition = process_resident(pkt, self, handler)
+            run(ctx.rebind(pkts[i]), route, handler)
             i += 1
-            if disposition is _FORWARD:
-                # Inlined plain-forward continuation — the dominant case
-                # (BPF_OK, next segment resolves to an encap-less route);
-                # mirrors _run_pipeline's fast branch plus the decrement
-                # and transmit stages.
-                route2 = lookup(MAIN_TABLE, pkt.dst)
-                if route2 is not None and route2.encap is None and not route2.local:
-                    if tctx is not None:
-                        t = self.clock_ns()
-                        tctx.append((t, t, "stage:lookup", name, ""))
-                    if pkt.decrement_hop_limit() == 0:
-                        counters.hop_limit_exceeded += 1
-                        self._send_time_exceeded(pkt)
-                    else:
-                        counters.forwarded += 1
-                        nexthops = route2.nexthops
-                        nexthop = (
-                            nexthops[0]
-                            if len(nexthops) == 1
-                            else route2.select_nexthop(pkt.flow_hash() ^ ecmp_seed)
-                        )
-                        if nexthop is None or nexthop.dev not in devices:
-                            counters.dropped += 1
-                        else:
-                            pkt.trace.append(name)
-                            if tctx is not None:
-                                t = self.clock_ns()
-                                tctx.append((t, t, "stage:transmit", name, nexthop.dev))
-                            counters.tx += 1
-                            out = egress.get(nexthop.dev)
-                            if out is None:
-                                egress[nexthop.dev] = out = []
-                            out.append(pkt)
-                elif route2 is None:
-                    counters.no_route += 1
-                    counters.dropped += 1
-                else:
-                    ctx.rebind(pkt)
-                    ctx.lookup_dst = pkt.dst
-                    run(ctx, budget, route=route2)
-            else:
-                outcome = self._apply_disposition(disposition, pkt)
-                if outcome is not None:
-                    ctx.rebind(pkt)
-                    ctx.table_id, ctx.nh6 = outcome
-                    run(ctx, budget)
-            if guard and table.generation != generation:
+            if table.generation != generation:
                 _JIT_V2_STATS["bpf_group_flushes"] += 1
                 break
-        counters.seg6local_processed += processed
-        encap.processed += processed
         _JIT_V2_STATS["bpf_grouped_packets"] += i - start
         return i
 
@@ -533,21 +455,22 @@ class Node:
     def _run_pipeline(
         self,
         ctx: DispatchContext,
-        budget: int = _RECIRCULATION_BUDGET,
         route: "Route | None" = None,
+        handler=None,
     ) -> None:
         """Carry one packet through the stages until it leaves or dies.
 
         ``route`` pre-resolves the first iteration's lookup (batch entry
         points resolve it while probing for batch-resident groups);
-        ``budget`` is the remaining re-circulation allowance for callers
-        that already consumed a routing decision (the group path).
+        ``handler`` is the armed handler of a batch-resident group, which
+        the seg6local stage of that first iteration runs the End.BPF
+        program in.
         """
         lookup = self._lookup_route
         counters = self.counters
         pkt = ctx.pkt
         prefetched = route
-        for _ in range(budget):
+        for _ in range(_RECIRCULATION_BUDGET):
             route = prefetched
             prefetched = None
             if route is None:
@@ -575,8 +498,9 @@ class Node:
                 # seg6local consumes or recirculates, never falls through;
                 # the driver dispatches it directly (it is not part of the
                 # stage walk below).
-                if self._stage_seg6local(ctx) is _CONSUMED:
+                if self._stage_seg6local(ctx, handler) is _CONSUMED:
                     return
+                handler = None
                 continue
             outcome = _NEXT
             for stage in self._stages:
@@ -590,22 +514,27 @@ class Node:
         self.log("re-circulation budget exceeded; dropping")
         self.counters.dropped += 1
 
-    def _stage_seg6local(self, ctx: DispatchContext):
-        """A matched seg6local route consumes the packet with its action (§3)."""
+    def _stage_seg6local(self, ctx: DispatchContext, handler=None):
+        """A matched seg6local route consumes the packet with its action (§3).
+
+        With a group ``handler`` the End.BPF action runs batch-resident.
+        """
         encap = ctx.route.encap
-        if not isinstance(encap, Seg6LocalAction):
-            return _NEXT
-        tctx = ctx.pkt.tctx
+        pkt = ctx.pkt
+        tctx = pkt.tctx
         if tctx is not None:
             t = self.clock_ns()
             tctx.append((t, t, "stage:seg6local", self.name, encap.kind))
         self.counters.seg6local_processed += 1
         encap.processed += 1
-        disposition = encap.process(ctx.pkt, self)
+        if handler is None:
+            disposition = encap.process(pkt, self)
+        else:
+            disposition = encap.process_resident(pkt, self, handler)
         if disposition is _FORWARD:
             ctx.table_id = ctx.nh6 = None
             return _RECIRC
-        outcome = self._apply_disposition(disposition, ctx.pkt)
+        outcome = self._apply_disposition(disposition, pkt)
         if outcome is None:
             return _CONSUMED
         ctx.table_id, ctx.nh6 = outcome

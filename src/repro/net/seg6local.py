@@ -351,47 +351,19 @@ class EndBPF(Seg6LocalAction):
     def process(self, pkt: Packet, node) -> Disposition:
         """Advance the SRH, then run the attached program (§3.1 semantics).
 
-        The advance verdict is memoised on the SRH bytes and the program
-        runs in the cached per-(program, attach point)
-        :class:`~repro.ebpf.jit.CompiledHandler` instead of a freshly
-        assembled guest address space.  The handler is pinned on the
-        action instance; the cache generation check makes
-        :func:`~repro.ebpf.jit.clear_handler_cache` still reach it.
+        A single packet is a batch-resident group of one: the first
+        packet of a group always does the full handler arm.
         """
-        verdict = _advance_verdict(pkt.data)
-        if verdict is _V_NO_SRH:
-            return Disposition.drop(_DROP_NO_SRH)
-        if verdict is _V_SL_ZERO:
-            return Disposition.drop(_DROP_SL_ZERO)
-        new_sl, new_active = verdict
-        pkt.data[IPV6_HEADER_LEN + 3] = new_sl
-        pkt.data[24:40] = new_active
-        tctx = pkt.tctx
-        if tctx is not None:
-            t = node.clock_ns()
-            tctx.append((t, t, "ebpf", node.name, f"seg6local/{self.program.name}"))
-
-        handler = self._handler
-        if (
-            handler is None
-            or handler.program is not self.program
-            or handler.cache_generation != _jit._HANDLER_CACHE_GENERATION
-        ):
-            handler = compiled_handler(self.program, "seg6local")
-            self._handler = handler
-        else:
-            _HANDLER_CACHE_STATS["handler_hits"] += 1  # pinned-handler reuse
-        hctx = handler.arm(
-            pkt.data, clock_ns=node.clock_ns, rng=node.rng, mark=pkt.mark
-        )
-        return self._run_and_finish(pkt, node, hctx)
+        return self.process_resident(pkt, node, self.group_handler())
 
     # -- batch-resident invocation (Node._run_group) --------------------------
     def group_handler(self):
         """The pinned handler, marked un-armed for a new batch-resident group.
 
-        Same pin/generation dance as :meth:`process`; the ``group_armed``
-        flag makes the first *arming* packet of the group do a full
+        The handler is pinned on the action instance; the cache
+        generation check makes :func:`~repro.ebpf.jit.clear_handler_cache`
+        still reach it.  The ``group_armed`` flag makes the first
+        *arming* packet of the group do a full
         :meth:`~repro.ebpf.jit.CompiledHandler.arm` (rebinding clock/rng —
         the handler may last have run on another node) while subsequent
         packets take the light
@@ -411,15 +383,13 @@ class EndBPF(Seg6LocalAction):
         return handler
 
     def process_resident(self, pkt: Packet, node, handler) -> Disposition:
-        """:meth:`process` for one packet of a batch-resident group.
+        """Advance the SRH and run the program for one packet of a group.
 
-        Identical semantics to :meth:`process`, flattened for the hot
-        loop: the group's handler stays resident between packets (guest
-        address space, clock/rng/node/hook bindings reused, only
-        per-packet state reset), the translated function plus its
-        invariant arguments are bound once per group on the arming
-        packet (``_group_call``), and the §3.1 return-code handling is
-        inlined instead of dispatched through :meth:`_run_and_finish`.
+        The advance verdict is memoised on the SRH bytes.  The group's
+        handler stays resident between packets (guest address space,
+        clock/rng/node/hook bindings reused, only per-packet state
+        reset), and the translated function plus its invariant arguments
+        are bound once per group on the arming packet (``_group_call``).
         """
         data = pkt.data
         verdict = _advance_verdict(data)
@@ -470,95 +440,59 @@ class EndBPF(Seg6LocalAction):
             return Disposition.drop(f"program fault: {exc}", bpf=True)
         pstats.invocations += 1
         pstats.last_return = ret
+        return bpf_verdict(ret, hctx, pkt, self.stats)
 
-        skb = hctx.skb
-        region_data = skb.packet_region.data
-        if region_data != data:
-            pkt.data = bytearray(region_data)
-        pkt.mark = skb.mark
 
-        if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            data = pkt.data
-            if len(data) >= IPV6_HEADER_LEN and data[6] == PROTO_ROUTING:
-                try:
-                    srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
-                except ValueError:
-                    srh_len = 0  # no parseable SRH; nothing to revalidate
-                if srh_len:
-                    reason = _validate_verdict(
-                        bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len])
+def bpf_verdict(ret: int, hctx, pkt: Packet, stats: dict) -> Disposition:
+    """Apply a finished eBPF run to ``pkt`` and map its return code (§3.1).
+
+    The one place a hook program's result decides the packet's fate,
+    shared by End.BPF and the BPF LWT hooks.  Helper-made packet bytes
+    and the mark are written back first.  An SRH the program modified
+    (only the seg6local helpers can, so only End.BPF reaches this) is
+    then re-validated; an inconsistent one is a BPF drop.  Finally
+    ``BPF_OK`` forwards on the (new) destination, ``BPF_REDIRECT``
+    forwards to what ``bpf_lwt_seg6_action`` resolved, ``BPF_DROP``
+    drops, and any other value is a datapath policy drop.  ``stats``
+    (the hook's ok/drop/redirect counters) counts the verdict.
+    """
+    # The guest packet region and pkt.data are both bytearrays, so the
+    # unchanged-packet check is a straight C-level compare, no copies.
+    skb = hctx.skb
+    region_data = skb.packet_region.data
+    if region_data != pkt.data:
+        pkt.data = bytearray(region_data)
+    pkt.mark = skb.mark
+
+    if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
+        data = pkt.data
+        if len(data) >= IPV6_HEADER_LEN and data[6] == PROTO_ROUTING:
+            try:
+                srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
+            except ValueError:
+                srh_len = 0  # no parseable SRH; nothing to revalidate
+            if srh_len:
+                reason = _validate_verdict(
+                    bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len])
+                )
+                if reason is not None:
+                    stats["drop"] += 1
+                    return Disposition.drop(
+                        f"invalid SRH after BPF: {reason}", bpf=True
                     )
-                    if reason is not None:
-                        self.stats["drop"] += 1
-                        return Disposition.drop(
-                            f"invalid SRH after BPF: {reason}", bpf=True
-                        )
 
-        if ret == BPF_OK:
-            self.stats["ok"] += 1
-            return _FORWARD
-        if ret == BPF_REDIRECT:
-            self.stats["redirect"] += 1
-            return Disposition.forward(
-                table_id=hctx.metadata.get("redirect_table"),
-                nh6=hctx.metadata.get("redirect_nh6"),
-            )
-        self.stats["drop"] += 1
-        if ret == BPF_DROP:
-            return Disposition.drop("BPF_DROP", bpf=True)
-        # A malformed verdict is a datapath policy drop, not the program
-        # explicitly asking for one — it does not count as bpf_dropped.
-        return Disposition.drop(f"unknown BPF return {ret}")
-
-    def _run_and_finish(self, pkt: Packet, node, hctx) -> Disposition:
-        """Run the program and apply §3.1 return-code semantics."""
-        hctx.packet = pkt
-        hctx.node = node
-        hctx.hook = "seg6local"
-        try:
-            ret = self.program.run(hctx)
-        except (VmFault, BpfError) as exc:
-            self.stats["errors"] += 1
-            node.log(f"End.BPF program fault: {exc}")
-            return Disposition.drop(f"program fault: {exc}", bpf=True)
-
-        # Propagate helper-made modifications back into the packet.  The
-        # guest packet region and pkt.data are both bytearrays, so the
-        # unchanged-packet check is a straight C-level compare, no copies.
-        region_data = hctx.skb.packet_region.data
-        if region_data != pkt.data:
-            pkt.data = bytearray(region_data)
-        pkt.mark = hctx.skb.mark
-
-        if hctx.metadata.get("srh_modified") and ret != BPF_DROP:
-            data = pkt.data
-            if len(data) >= IPV6_HEADER_LEN and data[6] == PROTO_ROUTING:
-                try:
-                    srh_len, _ = srh_wire_span(data, IPV6_HEADER_LEN)
-                except ValueError:
-                    srh_len = 0  # no parseable SRH; nothing to revalidate
-                if srh_len:
-                    reason = _validate_verdict(
-                        bytes(data[IPV6_HEADER_LEN : IPV6_HEADER_LEN + srh_len])
-                    )
-                    if reason is not None:
-                        self.stats["drop"] += 1
-                        return Disposition.drop(
-                            f"invalid SRH after BPF: {reason}", bpf=True
-                        )
-
-        if ret == BPF_OK:
-            self.stats["ok"] += 1
-            return _FORWARD
-        if ret == BPF_REDIRECT:
-            self.stats["redirect"] += 1
-            return Disposition.forward(
-                table_id=hctx.metadata.get("redirect_table"),
-                nh6=hctx.metadata.get("redirect_nh6"),
-            )
-        self.stats["drop"] += 1
-        if ret == BPF_DROP:
-            return Disposition.drop("BPF_DROP", bpf=True)
-        # A malformed verdict is a datapath policy drop, not the program
-        # explicitly asking for one — it does not count as bpf_dropped.
-        return Disposition.drop(f"unknown BPF return {ret}")
+    if ret == BPF_OK:
+        stats["ok"] += 1
+        return _FORWARD
+    if ret == BPF_REDIRECT:
+        stats["redirect"] += 1
+        return Disposition.forward(
+            table_id=hctx.metadata.get("redirect_table"),
+            nh6=hctx.metadata.get("redirect_nh6"),
+        )
+    stats["drop"] += 1
+    if ret == BPF_DROP:
+        return Disposition.drop("BPF_DROP", bpf=True)
+    # A malformed verdict is a datapath policy drop, not the program
+    # explicitly asking for one — it does not count as bpf_dropped.
+    return Disposition.drop(f"unknown BPF return {ret}")

@@ -7,15 +7,6 @@ from .pcap import PcapWriter, read_pcap, tap_device
 from .scheduler import NS_PER_MS, NS_PER_SEC, NS_PER_US, Event, Scheduler
 from .stats import FlowMeter, mbps
 from .tcp import TcpReceiver, TcpSender, make_connection
-from .topology import (
-    PAPER_LINK0,
-    PAPER_LINK1,
-    HybridLinkSpec,
-    Setup1,
-    Setup2,
-    build_setup1,
-    build_setup2,
-)
 from .trafgen import Srv6UdpFlood, UdpFlow, batch_srv6_udp, batch_srv6_udp_flows, batch_udp
 
 __all__ = [
@@ -24,19 +15,14 @@ __all__ = [
     "CpuStats",
     "Event",
     "FlowMeter",
-    "HybridLinkSpec",
     "Link",
     "LinkEndpoint",
     "NS_PER_MS",
     "NS_PER_SEC",
     "NS_PER_US",
     "NetemQdisc",
-    "PAPER_LINK0",
-    "PAPER_LINK1",
     "PcapWriter",
     "Scheduler",
-    "Setup1",
-    "Setup2",
     "Srv6UdpFlood",
     "TcpReceiver",
     "TcpSender",
@@ -44,8 +30,6 @@ __all__ = [
     "batch_srv6_udp",
     "batch_srv6_udp_flows",
     "batch_udp",
-    "build_setup1",
-    "build_setup2",
     "make_connection",
     "mbps",
     "read_pcap",

@@ -22,6 +22,7 @@ from ..ebpf import ArrayMap, PerfEventArrayMap
 from ..net.addr import as_addr
 from ..net.iproute import IpRoute
 from ..net.ipv6 import PROTO_UDP
+from ..lab.setups import Setup2
 from ..net.lwt_bpf import BpfLwt
 from ..net.node import Node
 from ..net.packet import Packet, make_udp_packet
@@ -42,7 +43,6 @@ from ..progs import (
 )
 from ..sim.netem import NetemQdisc
 from ..sim.scheduler import NS_PER_MS, Scheduler
-from ..sim.topology import Setup2
 from .delay import install_end_dm
 
 TWD_PORT = 8890

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ebpf import Program
+from repro.ebpf.jit import handler_cache_stats
 from repro.net import (
     BpfLwt,
     End,
@@ -209,6 +210,52 @@ def test_bpf_lwt_drop_counted_as_bpf_dropped(router):
     router.receive(pkt, router.devices["eth0"])
     assert router.counters.dropped == 1
     assert router.counters.bpf_dropped == 1
+
+
+# §3.1 return codes: OK, DROP, REDIRECT, and a value outside the set.
+VERDICTS = {0: "ok", 2: "drop", 7: "redirect", 99: "drop"}
+
+
+@pytest.mark.parametrize("path", ["endbpf_single", "endbpf_grouped", "lwt_in"])
+@pytest.mark.parametrize("ret", list(VERDICTS))
+def test_bpf_verdict_same_on_every_hook_path(router, ret, path):
+    """End.BPF (batch of one or grouped) and lwt_in map a return code alike."""
+    count = 4 if path == "endbpf_grouped" else 1
+    if path == "lwt_in":
+        prog = Program(f"mov r0, {ret}\nexit", allowed_helpers=LWT_HELPERS)
+        owner = BpfLwt(prog_in=prog)
+        router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=owner)
+        pkts = [make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")]
+        expected = bytearray(pkts[0].data)
+    else:
+        prog = Program(f"mov r0, {ret}\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+        owner = EndBPF(prog)
+        router.add_route("fc00:e::100/128", encap=owner)
+        pkts = [
+            make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x")
+            for _ in range(count)
+        ]
+        expected = bytearray(pkts[0].data)
+        expected[24:40] = pton("fc00:2::2")  # advanced to the last segment
+        expected[43] -= 1  # segments_left
+    expected[7] -= 1  # hop limit
+    grouped_before = handler_cache_stats()["bpf_grouped_packets"]
+
+    router.receive_batch(pkts, router.devices["eth0"])
+
+    grouped = handler_cache_stats()["bpf_grouped_packets"] - grouped_before
+    assert grouped == (count if path == "endbpf_grouped" else 0)
+    forwarded = count if ret in (0, 7) else 0
+    c = router.counters
+    assert (c.rx, c.forwarded, c.tx, c.dropped, c.bpf_dropped) == (
+        count, forwarded, forwarded, count - forwarded, count if ret == 2 else 0
+    )
+    assert c.seg6local_processed == (0 if path == "lwt_in" else count)
+    stats = {"ok": 0, "drop": 0, "redirect": 0, "errors": 0}
+    stats[VERDICTS[ret]] = count
+    assert owner.stats == stats
+    out = [bytes(p.data) for p in router.devices["eth1"].tx_buffer]
+    assert out == [bytes(expected)] * forwarded
 
 
 def test_receive_accounts_ingress_device_stats(router):

@@ -31,6 +31,7 @@ from repro.progs import (
     wrr_state_counters,
 )
 from repro.sim.trafgen import batch_srv6_udp_flows, batch_udp
+from repro.trace import Tracer
 
 FIG2_VARIANTS = (
     "baseline_ipv6",
@@ -88,20 +89,32 @@ def observe(node: Node, out: list[Packet]) -> dict:
     }
 
 
-def assert_partition_invariant(build, templates, extra_observe=None):
+def assert_partition_invariant(build, templates, extra_observe=None, traced=False):
     """Drive every partition of ``templates`` through fresh ``build()`` nodes
-    and assert the observations all match the batch-of-one reference."""
+    and assert the observations all match the batch-of-one reference.
+
+    With ``traced``, every packet is admitted to a tracer and its span
+    list joins the observations.  Returns the reference observations.
+    """
     reference = None
     for sizes in partitions_of(len(templates)):
         node = build()
-        out = drive_partition(node, copy_batch(templates), sizes)
+        pkts = copy_batch(templates)
+        if traced:
+            tracer = Tracer(sample=1)
+            for pkt in pkts:
+                tracer.admit(pkt, "gen", 0)
+        out = drive_partition(node, pkts, sizes)
         seen = observe(node, out)
+        if traced:
+            seen["spans"] = [list(pkt.tctx) for pkt in pkts]
         if extra_observe is not None:
             seen["extra"] = extra_observe(node)
         if reference is None:
             reference = seen
         else:
             assert seen == reference, f"partition {sizes[:8]}... diverged"
+    return reference
 
 
 @pytest.mark.parametrize("variant", FIG2_VARIANTS)
@@ -121,6 +134,21 @@ def test_fig2_variant_partition_invariance(variant):
         ]
 
     assert_partition_invariant(build, templates, extra_observe=action_stats)
+
+
+@pytest.mark.parametrize("variant", [v for v in FIG2_VARIANTS if "bpf" in v])
+def test_endbpf_partition_invariance_traced(variant):
+    """Grouped and one-at-a-time End.BPF packets emit identical spans."""
+    _, templates = make_fig2_router(variant)
+
+    def build():
+        node, _ = make_fig2_router(variant)
+        return node
+
+    reference = assert_partition_invariant(build, templates, traced=True)
+    assert all(
+        any(span[2] == "ebpf" for span in spans) for spans in reference["spans"]
+    )
 
 
 def test_malformed_srh_partition_invariance():

@@ -216,7 +216,7 @@ def test_cpu_queue_overflow_drops_but_recovers():
 
 def test_monitoring_survives_lossy_path():
     """DM pipeline under 20 % netem loss: fewer samples, no corruption."""
-    from repro.sim import build_setup1
+    from repro.lab import build_setup1
     from repro.sim.scheduler import NS_PER_SEC
     from repro.usecases import deploy_owd_monitoring
 

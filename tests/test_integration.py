@@ -9,9 +9,9 @@ loop is the context-managed ``net.run``.
 import pytest
 
 from repro.ebpf import Program
+from repro.lab import build_setup1
 from repro.net import SEG6LOCAL_HELPERS, pton
 from repro.progs import end_prog, tag_increment_prog
-from repro.sim import build_setup1
 from repro.sim.scheduler import NS_PER_SEC
 
 
