@@ -28,7 +28,7 @@ from repro.sim.trafgen import batch_srv6_udp
 
 PROGRAMS = {
     "end": end_prog,
-    "end_t": lambda jit: end_t_prog(254, jit=jit),
+    "end_t": lambda jit: end_t_prog(jit=jit),
     "tag_increment": tag_increment_prog,
     "add_tlv": add_tlv_prog,
 }

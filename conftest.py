@@ -11,7 +11,8 @@ def pytest_addoption(parser):
         "--regen-golden",
         action="store_true",
         default=False,
-        help="rewrite the eBPF corpus .expected golden files from current "
-        "toolchain output instead of asserting against them "
-        "(see tests/ebpf/test_corpus.py and CONTRIBUTING.md)",
+        help="rewrite the eBPF .expected golden files (the corpus and the "
+        "library programs) from current toolchain output instead of "
+        "asserting against them (see tests/ebpf/test_corpus.py, "
+        "tests/ebpf/test_easm.py and CONTRIBUTING.md)",
     )

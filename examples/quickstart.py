@@ -5,60 +5,55 @@ This walks the full End.BPF pipeline from §3 of the paper:
 
 1. write a small eBPF program (here: count packets per SRH tag in a map
    and stamp the packet mark),
-2. load it — assembling, relocating the map, and passing the verifier,
+2. load it — assembling, linking the map, and passing the verifier,
 3. install it as a ``seg6local End.BPF`` action on a router segment,
 4. push SRv6 traffic through the router and watch the function run.
 
 Run:  python3 examples/quickstart.py
 """
 
-from repro.ebpf import ArrayMap, Program, disassemble
+from repro.ebpf import disassemble, load_text
 from repro.lab import Network
-from repro.net import (
-    SEG6LOCAL_HELPERS,
-    make_srv6_udp_packet,
-    ntop,
-)
+from repro.net import make_srv6_udp_packet, ntop
 
-# An eBPF program: read the SRH tag from the packet (verified bounds
-# check against data_end), use it as an index into an array map, and
-# increment the per-tag packet counter.
+# An eBPF program, in the kernel/LLVM assembly syntax: read the SRH tag
+# from the packet (verified bounds check against data_end), use it as an
+# index into an array map, and increment the per-tag packet counter.
+# ``.hook`` selects the End.BPF helper set; ``.map`` declares the map.
 COUNT_BY_TAG = """
-    mov r6, r1                 ; save ctx
-    ldxdw r7, [r6+16]          ; data
-    ldxdw r8, [r6+24]          ; data_end
-    mov r2, r7
-    add r2, 48                 ; IPv6 header + SRH fixed part
-    jgt r2, r8, out            ; too short: pass through
-    ldxb r3, [r7+6]
-    jne r3, 43, out            ; no routing header
-    ldxh r4, [r7+46]           ; SRH tag (wire big-endian)
-    be16 r4
-    and r4, 7                  ; clamp to the map size
-    stxw [r10-4], r4           ; key on the stack
-    lddw r1, map:tag_counters
-    mov r2, r10
-    add r2, -4
+.hook seg6local
+.map tag_counters, array, key=4, value=8, entries=8
+    r6 = r1                    ; save ctx
+    r7 = *(u64 *)(r6 + 16)     ; data
+    r8 = *(u64 *)(r6 + 24)     ; data_end
+    r2 = r7
+    r2 += 48                   ; IPv6 header + SRH fixed part
+    if r2 > r8 goto out        ; too short: pass through
+    r3 = *(u8 *)(r7 + 6)
+    if r3 != 43 goto out       ; no routing header
+    r4 = *(u16 *)(r7 + 46)     ; SRH tag (wire big-endian)
+    r4 = be16 r4
+    r4 &= 7                    ; clamp to the map size
+    *(u32 *)(r10 - 4) = r4     ; key on the stack
+    r1 = tag_counters ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1           ; *counter += 1 through the value pointer
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1      ; *counter += 1 through the value pointer
 out:
-    mov r0, 0                  ; BPF_OK: forward along the next segment
+    r0 = 0                     ; BPF_OK: forward along the next segment
     exit
 """
 
 
 def main() -> None:
-    # 1. Create the map and load the program (this runs the verifier).
-    counters = ArrayMap("tag_counters", value_size=8, max_entries=8)
-    prog = Program(
-        COUNT_BY_TAG,
-        maps={"tag_counters": counters},
-        name="count_by_tag",
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
+    # 1. Load the program: assemble, link (creating the declared map)
+    #    and verify.
+    prog = load_text(COUNT_BY_TAG, name="count_by_tag")
+    counters = prog.maps["tag_counters"]
     print(f"loaded {prog.name!r}: {prog.num_insns} instructions, verifier OK")
     print("--- disassembly ---")
     print(disassemble(prog.insns))

@@ -2,32 +2,31 @@
 
 This package is the in-kernel-VM substrate of the reproduction (§2.1 of
 the paper).  The public surface mirrors how one interacts with kernel
-eBPF:
+eBPF: programs are written in the kernel/LLVM assignment syntax
+(:mod:`repro.ebpf.text`), and ``load_text`` assembles, links, verifies
+and loads them in one call:
 
->>> from repro.ebpf import Program, ArrayMap
->>> counter = ArrayMap("hits", value_size=8, max_entries=1)
->>> prog = Program('''
-...     mov r6, r1            ; save ctx
-...     mov r1, 0
-...     stxw [r10-4], r1      ; key = 0
-...     lddw r1, map:hits
-...     mov r2, r10
-...     add r2, -4
+>>> from repro.ebpf import load_text
+>>> prog = load_text('''
+...     .map hits, array, key=4, value=8, entries=1
+...     *(u32 *)(r10 - 4) = 0       ; key = 0
+...     r1 = hits ll
+...     r2 = r10
+...     r2 += -4
 ...     call map_lookup_elem
-...     jeq r0, 0, out
-...     ldxdw r1, [r0+0]
-...     add r1, 1
-...     stxdw [r0+0], r1      ; *value += 1
+...     if r0 == 0 goto out
+...     r1 = *(u64 *)(r0 + 0)
+...     r1 += 1
+...     *(u64 *)(r0 + 0) = r1       ; *value += 1
 ... out:
-...     mov r0, 0
+...     r0 = 0
 ...     exit
-... ''', maps={"hits": counter})
+... ''')
 >>> ret, _ = prog.run_on_packet(b"\\x60" + b"\\x00" * 39)
->>> int.from_bytes(counter.lookup((0).to_bytes(4, "little")), "little")
+>>> int.from_bytes(prog.maps["hits"].lookup((0).to_bytes(4, "little")), "little")
 1
 """
 
-from .asm import assemble
 from .context import SkbContext
 from .disasm import disassemble
 from .errors import (
@@ -105,7 +104,6 @@ __all__ = [
     "Verifier",
     "VerifierError",
     "VmFault",
-    "assemble",
     "compiled_handler",
     "decode_program",
     "disassemble",

@@ -31,7 +31,9 @@ class Instruction:
     """A single eBPF instruction.
 
     ``imm64`` is only meaningful for ``lddw``; for all other opcodes the
-    32-bit ``imm`` field is used.  ``map_ref`` optionally carries the name
+    32-bit ``imm`` field is used, held as the signed value it encodes
+    (``0xffffffff`` becomes ``-1``; anything outside ``[-2**31, 2**32)``
+    is rejected).  ``map_ref`` optionally carries the name
     of a map referenced by a pseudo ``lddw`` before fd relocation.
     """
 
@@ -65,6 +67,12 @@ class Instruction:
             raise EncodingError(f"offset out of range: {self.off}")
         if self.imm64 is not None and not self.is_lddw:
             raise EncodingError("imm64 only valid for lddw")
+        if not self.is_lddw:
+            # Hold the value the 32-bit field encodes, so a program runs
+            # the same before and after an encode/decode round trip.
+            if not -(1 << 31) <= self.imm < (1 << 32):
+                raise EncodingError(f"immediate out of 32-bit range: {self.imm:#x}")
+            object.__setattr__(self, "imm", isa.to_signed32(self.imm))
 
     def encode(self) -> bytes:
         """Serialise to 8 (or 16, for lddw) little-endian bytes."""
@@ -77,13 +85,9 @@ class Instruction:
             )
             second = _INSN_STRUCT.pack(0, 0, 0, high)
             return first + second
-        imm = isa.to_signed32(self.imm & isa.U32)
         return _INSN_STRUCT.pack(
-            self.opcode, (self.src_reg << 4) | self.dst_reg, self.off, imm
+            self.opcode, (self.src_reg << 4) | self.dst_reg, self.off, self.imm
         )
-
-    def with_imm(self, imm: int) -> "Instruction":
-        return Instruction(self.opcode, self.dst_reg, self.src_reg, self.off, imm)
 
 
 def encode_program(insns: list[Instruction]) -> bytes:

@@ -1,4 +1,4 @@
-"""Program loading: assemble → relocate maps → verify → pick an engine.
+"""Program loading: relocate maps → verify → pick an engine.
 
 A :class:`Program` is the equivalent of a loaded-and-verified kernel BPF
 program: creating one runs the full pipeline and raises
@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import isa
-from .asm import assemble
 from .errors import BpfError
 from .helpers import HelperContext, install_map_regions, map_handle_addr
 from .insn import Instruction, flatten
@@ -37,11 +36,11 @@ class Program:
 
     Parameters
     ----------
-    source:
-        Assembly text (see :mod:`repro.ebpf.asm`) or a pre-built
-        instruction list.
+    insns:
+        The instruction list; text becomes one through
+        :func:`repro.ebpf.text.load_text`.
     maps:
-        Maps referenced by ``lddw rX, map:<name>`` pseudo-instructions.
+        Maps referenced by ``rX = <name> ll`` pseudo-instructions.
     name:
         Human-readable name for logs and stats.
     jit:
@@ -56,7 +55,7 @@ class Program:
 
     def __init__(
         self,
-        source: str | list[Instruction],
+        insns: list[Instruction],
         maps: dict[str, Map] | None = None,
         name: str = "prog",
         jit: bool = True,
@@ -65,8 +64,9 @@ class Program:
         self.name = name
         self.maps = dict(maps or {})
         self.jit_enabled = jit
-        insns = assemble(source) if isinstance(source, str) else list(source)
-        self.insns, self.slot_maps = self._relocate(insns)
+        if isinstance(insns, str):
+            raise TypeError("Program takes instructions; load text with load_text")
+        self.insns, self.slot_maps = self._relocate(list(insns))
         self.maps_by_addr = {
             map_handle_addr(m): m for m in self.slot_maps.values()
         }
@@ -96,7 +96,7 @@ class Program:
 
     # -- loading -------------------------------------------------------------
     def _relocate(self, insns: list[Instruction]):
-        """Resolve ``map:<name>`` references to opaque guest handles."""
+        """Resolve map-symbol ``lddw`` loads to opaque guest handles."""
         out: list[Instruction] = []
         slot_maps: dict[int, Map] = {}
         slot = 0

@@ -1,11 +1,10 @@
 """``repro.ebpf.text`` — the textual eBPF toolchain.
 
-Where :mod:`repro.ebpf.asm` mirrors the classic ``bpf_asm`` mnemonics
-(``mov r6, r1``), this package is the kernel/LLVM-style *text frontend*:
-``.s`` sources written in the assignment syntax the kernel documentation
-and ``llvm-objdump -d`` use (``r6 = r1``, ``if r2 > r8 goto out``,
-``*(u64 *)(r10 - 8) = r3``), organised into sections, with first-class
-map declarations and symbolic relocations.
+The kernel/LLVM-style *text frontend*, and the only way text becomes a
+program: ``.s`` sources written in the assignment syntax the kernel
+documentation and ``llvm-objdump -d`` use (``r6 = r1``,
+``if r2 > r8 goto out``, ``*(u64 *)(r10 - 8) = r3``), organised into
+sections, with first-class map declarations and symbolic relocations.
 
 Three layers:
 
@@ -18,28 +17,9 @@ Three layers:
   instantiates declared maps and returns a
   :class:`~repro.ebpf.text.eld.LinkedProgram` whose ``.load()`` runs the
   ordinary verify-and-load pipeline.
-* ``load_text(source)`` — the one-call path ``net.load`` and
-  :mod:`repro.progs` use: assemble, link, load.
-
->>> from repro.ebpf.text import load_text
->>> prog = load_text('''
-...     .map hits, array, key=4, value=8, entries=1
-...     *(u32 *)(r10 - 4) = 0
-...     r1 = hits ll
-...     r2 = r10
-...     r2 += -4
-...     call map_lookup_elem
-...     if r0 == 0 goto out
-...     r1 = *(u64 *)(r0 + 0)
-...     r1 += 1
-...     *(u64 *)(r0 + 0) = r1
-... out:
-...     r0 = 0
-...     exit
-... ''')
->>> ret, _ = prog.run_on_packet(b"\\x60" + b"\\x00" * 39)
->>> int.from_bytes(prog.maps["hits"].lookup((0).to_bytes(4, "little")), "little")
-1
+* ``load_text(source)`` — the one-call path: assemble, link, load.
+  ``net.load``, :mod:`repro.progs`, ``bcc.BPF(text=)`` and the package
+  example in :mod:`repro.ebpf` all use it.
 """
 
 from .easm import MapDecl, Section, TextObject, parse_asm

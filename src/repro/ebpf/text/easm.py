@@ -44,7 +44,7 @@ import re
 from dataclasses import dataclass, field
 
 from .. import isa
-from ..errors import AsmError
+from ..errors import AsmError, EncodingError
 from ..insn import Instruction
 from ..maps import MAP_TYPES
 
@@ -63,7 +63,8 @@ _END_RE = re.compile(r"^(be|le)(16|32|64)\s+([rw]\d+)$")
 _NEG_RE = re.compile(r"^-\s*([rw]\d+)$")
 _LL_RE = re.compile(r"^(\S+)\s+ll$")
 
-_ALU_OPS = {
+# Operator and access-size tables, shared with the disassembler.
+ALU_OPS = {
     "+": isa.BPF_ADD,
     "-": isa.BPF_SUB,
     "*": isa.BPF_MUL,
@@ -77,7 +78,7 @@ _ALU_OPS = {
     "s>>": isa.BPF_ARSH,
 }
 
-_JMP_OPS = {
+JMP_OPS = {
     "==": isa.BPF_JEQ,
     "!=": isa.BPF_JNE,
     ">": isa.BPF_JGT,
@@ -91,7 +92,7 @@ _JMP_OPS = {
     "&": isa.BPF_JSET,
 }
 
-_SIZES = {"8": isa.BPF_B, "16": isa.BPF_H, "32": isa.BPF_W, "64": isa.BPF_DW}
+SIZES = {"8": isa.BPF_B, "16": isa.BPF_H, "32": isa.BPF_W, "64": isa.BPF_DW}
 
 _HOOKS = ("seg6local", "lwt", "none")
 
@@ -192,7 +193,7 @@ def _parse_mem(token: str, line_no: int) -> tuple[int, int, int] | None:
     match = _MEM_RE.match(token)
     if not match:
         return None
-    size = _SIZES[match.group(1)]
+    size = SIZES[match.group(1)]
     reg = int(match.group(2))
     if reg >= isa.NUM_REGS:
         raise AsmError(f"register r{reg} out of range", line_no)
@@ -313,6 +314,9 @@ class _Parser:
         if not _LABEL_RE.match(target):
             raise AsmError(f"invalid branch target {target!r}", line_no)
         section = self._current(line_no)
+        # Only the offset is left to patch: the immediate is checked (and
+        # normalised) here, so an out-of-range one fails on its own line.
+        imm = Instruction(opcode, dst, src, 0, imm).imm
         return PendingBranch(opcode, dst, src, imm, target, section.size, line_no)
 
     def _parse_insn(self, line: str, line_no: int, section: Section):
@@ -342,7 +346,7 @@ class _Parser:
             lhs, cmp_op, rhs, target = match.groups()
             dst, is64 = _parse_reg(lhs, line_no)
             klass = isa.BPF_JMP if is64 else isa.BPF_JMP32
-            op = _JMP_OPS[cmp_op]
+            op = JMP_OPS[cmp_op]
             reg_match = _REG_RE.match(rhs)
             if reg_match:
                 src, src64 = _parse_reg(rhs, line_no)
@@ -385,7 +389,7 @@ class _Parser:
 
         if alu_op is not None:  # compound assignment
             klass = isa.BPF_ALU64 if is64 else isa.BPF_ALU
-            op = _ALU_OPS[alu_op]
+            op = ALU_OPS[alu_op]
             if _REG_RE.match(rhs):
                 src, src64 = _parse_reg(rhs, line_no)
                 if src64 != is64:
@@ -479,7 +483,10 @@ def parse_asm(text: str, helpers: dict[str, int] | None = None) -> TextObject:
                 break
         if not line:
             continue
-        parser.insn(line, line_no)
+        try:
+            parser.insn(line, line_no)
+        except EncodingError as exc:
+            raise AsmError(str(exc), line_no) from None
 
     # Resolve branches whose target is a local label of their own section.
     for section in parser.obj.sections.values():

@@ -12,7 +12,8 @@ Linux operators deploy the paper's system with ``ip -6 route`` commands::
 real system and this reproduction nearly verbatim.  eBPF objects are
 referenced by name out of a registry of loaded
 :class:`~repro.ebpf.program.Program` objects (there is no ELF loader —
-programs come from :mod:`repro.ebpf.asm`).
+programs are kernel-syntax ``.s`` text loaded with
+:func:`repro.ebpf.text.load_text`, e.g. through ``net.load``).
 """
 
 from __future__ import annotations

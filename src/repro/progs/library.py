@@ -1,8 +1,8 @@
-"""The paper's eBPF programs, in eBPF assembly.
+"""The paper's eBPF programs: kernel-syntax sources, loaders, record codecs.
 
 Every program in the evaluation (§3.2) and the use cases (§4) is written
-here as genuine eBPF bytecode — assembled, verified and executed by
-:mod:`repro.ebpf` — never as shortcut Python:
+as genuine eBPF in ``asm/<name>.s`` — assembled, linked, verified and
+executed by :mod:`repro.ebpf` — never as shortcut Python:
 
 ========================  =======  ===========================================
 Program                   Paper §  Purpose
@@ -17,9 +17,11 @@ Program                   Paper §  Purpose
 ``end_oamp_prog``         4.3      End.OAMP: ECMP nexthops → perf event
 ========================  =======  ===========================================
 
-Probe packet geometry is fixed (as real eBPF programs fix their parse
-offsets — the 2018 verifier had no loops): see the layout constants
-below, shared with the user-space builders in :mod:`repro.usecases`.
+Each ``.s`` file names its hook in a ``.hook`` directive, from which the
+loader takes the helper set.  Probe packet geometry is fixed (as real
+eBPF programs fix their parse offsets — the 2018 verifier had no loops):
+the sources spell the offsets out, and the sizes below are shared with
+the user-space builders in :mod:`repro.usecases`.
 """
 
 from __future__ import annotations
@@ -31,144 +33,46 @@ from pathlib import Path
 from ..ebpf import ArrayMap, PerfEventArrayMap, Program
 from ..ebpf.text import load_text
 from ..net.addr import as_addr
-from ..net.seg6_helpers import LWT_HELPERS, SEG6LOCAL_HELPERS
+
+ASM_DIR = Path(__file__).parent / "asm"
+
+
+def asm_text(name: str) -> str:
+    """Return the ``.s`` source of a library program (e.g. ``"wrr"``)."""
+    path = ASM_DIR / f"{name}.s"
+    if not path.exists():
+        available = ", ".join(sorted(p.stem for p in ASM_DIR.glob("*.s")))
+        raise KeyError(f"no library asm program {name!r} (have: {available})")
+    return path.read_text()
+
+
+def _load(stem: str, name: str, jit: bool, maps=None) -> Program:
+    return load_text(asm_text(stem), maps=maps, name=name, jit=jit)
+
 
 # ---------------------------------------------------------------------------
 # §3.2 microbenchmark programs
 # ---------------------------------------------------------------------------
 
-#: BPF counterpart of End: do nothing, let the default lookup forward the
-#: packet along the next segment.  One source line in its body, as in the
-#: paper.
-END_PROG_ASM = """
-    mov r0, 0                      ; BPF_OK
-    exit
-"""
-
 
 def end_prog(jit: bool = True) -> Program:
     """The paper's baseline End.BPF program (§3.2, "End BPF")."""
-    return Program(
-        END_PROG_ASM, name="end_bpf", jit=jit, allowed_helpers=SEG6LOCAL_HELPERS
-    )
+    return _load("end", "end_bpf", jit)
 
 
-END_T_PROG_ASM = """
-    ; BPF counterpart of End.T: delegate to the native behaviour through
-    ; bpf_lwt_seg6_action and skip the default lookup (4 SLOC in C).
-    mov r6, r1
-    stw [r10-4], {table}           ; u32 table id parameter
-    mov r1, r6
-    mov r2, 3                      ; SEG6_LOCAL_ACTION_END_T
-    mov r3, r10
-    add r3, -4
-    mov r4, 4
-    call lwt_seg6_action
-    jne r0, 0, err
-    mov r0, 7                      ; BPF_REDIRECT: lookup already done
-    exit
-err:
-    mov r0, 2                      ; BPF_DROP
-    exit
-"""
-
-
-def end_t_prog(table_id: int = 254, jit: bool = True) -> Program:
-    """BPF counterpart of End.T (§3.2)."""
-    return Program(
-        END_T_PROG_ASM.format(table=table_id),
-        name="end_t_bpf",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
-
-
-TAG_INCREMENT_ASM = """
-    ; "Tag++" (§3.2): fetch the SRH tag, increment it, write it back via
-    ; the indirect-write helper (the SRH fixed fields are read through
-    ; verified packet pointers; the store goes through the helper).
-    mov r6, r1
-    ldxdw r7, [r6+16]              ; data
-    ldxdw r8, [r6+24]              ; data_end
-    mov r2, r7
-    add r2, 48                     ; IPv6 header + SRH fixed part
-    jgt r2, r8, out
-    ldxb r3, [r7+6]
-    jne r3, 43, out                ; no routing header
-    ldxb r3, [r7+42]
-    jne r3, 4, out                 ; not an SRH
-    ldxh r4, [r7+46]               ; tag (wire big-endian)
-    be16 r4                        ; to host order
-    add r4, 1
-    and r4, 0xffff
-    be16 r4                        ; back to wire order
-    stxh [r10-8], r4
-    mov r1, r6
-    mov r2, 46                     ; byte offset of the tag in the packet
-    mov r3, r10
-    add r3, -8
-    mov r4, 2
-    call lwt_seg6_store_bytes
-out:
-    mov r0, 0
-    exit
-"""
+def end_t_prog(jit: bool = True) -> Program:
+    """BPF counterpart of End.T (§3.2), looking up the main table (254)."""
+    return _load("end_t", "end_t_bpf", jit)
 
 
 def tag_increment_prog(jit: bool = True) -> Program:
     """The paper's Tag++ program (§3.2, ~50 SLOC in C)."""
-    return Program(
-        TAG_INCREMENT_ASM,
-        name="tag_increment",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
-
-
-ADD_TLV_ASM = """
-    ; "Add TLV" (§3.2): grow the SRH TLV area by 8 bytes with
-    ; bpf_lwt_seg6_adjust_srh, then fill it with a valid opaque TLV via
-    ; bpf_lwt_seg6_store_bytes (~60 SLOC in C).
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 48
-    jgt r2, r8, out
-    ldxb r3, [r7+6]
-    jne r3, 43, out
-    ldxb r3, [r7+42]
-    jne r3, 4, out
-    ldxb r9, [r7+41]               ; hdr_ext_len
-    add r9, 1
-    lsh r9, 3
-    add r9, 40                     ; r9 = end of SRH = end of TLV area
-    mov r1, r6
-    mov r2, r9
-    mov r3, 8
-    call lwt_seg6_adjust_srh
-    jne r0, 0, out
-    stb [r10-8], 10                ; TLV type: opaque container
-    stb [r10-7], 6                 ; TLV length
-    stw [r10-6], 0x6f727065        ; value bytes
-    sth [r10-2], 0
-    mov r1, r6
-    mov r2, r9
-    mov r3, r10
-    add r3, -8
-    mov r4, 8
-    call lwt_seg6_store_bytes
-out:
-    mov r0, 0
-    exit
-"""
+    return _load("tag_increment", "tag_increment", jit)
 
 
 def add_tlv_prog(jit: bool = True) -> Program:
     """The paper's Add TLV program (§3.2)."""
-    return Program(
-        ADD_TLV_ASM, name="add_tlv", jit=jit, allowed_helpers=SEG6LOCAL_HELPERS
-    )
+    return _load("add_tlv", "add_tlv", jit)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +81,10 @@ def add_tlv_prog(jit: bool = True) -> Program:
 
 # DM probe packet: outer IPv6 (40) + SRH (72) + inner packet.
 #   SRH: fixed 8 | segments 2x16 | DM TLV (11) | controller TLV (20) | Pad1
+#   The DM TLV starts at byte 80 (8-byte big-endian TX timestamp at 82,
+#   probe kind at 90); the controller TLV at 91 (address 93, port 109).
 DM_SRH_LEN = 72
-DM_SRH_OFF = 40
-DM_TLV_OFF = DM_SRH_OFF + 8 + 32  # 80: DM TLV type byte
-DM_TS_OFF = DM_TLV_OFF + 2  # 82: 8-byte big-endian TX timestamp
-DM_KIND_OFF = DM_TLV_OFF + 10  # 90: probe kind (OWD/TWD)
-DM_CTRL_TLV_OFF = DM_TLV_OFF + 11  # 91: controller TLV type byte
-DM_CTRL_ADDR_OFF = DM_CTRL_TLV_OFF + 2  # 93
-DM_CTRL_PORT_OFF = DM_CTRL_ADDR_OFF + 16  # 109
-DM_PROBE_MIN_LEN = DM_SRH_OFF + DM_SRH_LEN  # 112
+DM_PROBE_MIN_LEN = 40 + DM_SRH_LEN  # 112
 
 # dm_config array-map value layout (40 bytes).
 DM_CONFIG_SIZE = 40
@@ -240,163 +139,14 @@ class DmEvent:
         return self.rx_timestamp_ns - self.tx_timestamp_ns
 
 
-DM_ENCAP_ASM = f"""
-    ; §4.1 transit behaviour: for 1 out of `ratio` IPv6 packets, build an
-    ; SRH with a Delay-Measurement TLV and a controller TLV on the stack
-    ; and encapsulate the packet with it (130 SLOC in the paper's C).
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, 40                     ; need the full inner IPv6 header
-    jgt r2, r8, out
-    ldxb r3, [r7+6]
-    jeq r3, 43, out                ; only *regular* IPv6: skip SRv6 traffic
-    stw [r10-4], 0
-    lddw r1, map:dm_config
-    mov r2, r10
-    add r2, -4
-    call map_lookup_elem
-    jeq r0, 0, out
-    mov r9, r0                     ; r9 = config
-    call get_prandom_u32
-    ldxw r3, [r9+36]               ; probing ratio
-    jeq r3, 0, out                 ; ratio 0: sampling disabled
-    mod r0, r3
-    jne r0, 0, out                 ; not sampled
-    ; --- SRH fixed part (offsets relative to r10-80) ---
-    stb [r10-80], 41               ; next header: IPv6 (outer encap)
-    stb [r10-79], {DM_SRH_LEN // 8 - 1}
-    stb [r10-78], 4                ; routing type: SRH
-    stb [r10-77], 1                ; segments_left
-    stb [r10-76], 1                ; last_entry
-    stb [r10-75], 0                ; flags
-    sth [r10-74], 0                ; tag
-    ; --- segments[0] = inner destination (final segment) ---
-    ldxdw r3, [r7+24]
-    stxdw [r10-72], r3
-    ldxdw r3, [r7+32]
-    stxdw [r10-64], r3
-    ; --- segments[1] = the End.DM segment (first segment) ---
-    ldxdw r3, [r9+0]
-    stxdw [r10-56], r3
-    ldxdw r3, [r9+8]
-    stxdw [r10-48], r3
-    ; --- DM TLV: type 0x80, len 9, timestamp + kind ---
-    stb [r10-40], 128
-    stb [r10-39], 9
-    call ktime_get_ns              ; TX software timestamp
-    be64 r0
-    stxdw [r10-38], r0
-    ldxb r3, [r9+34]               ; probe kind (OWD / TWD)
-    stxb [r10-30], r3
-    ; --- controller TLV: type 0x81, len 18, addr + port ---
-    stb [r10-29], 129
-    stb [r10-28], 18
-    ldxdw r3, [r9+16]
-    stxdw [r10-27], r3
-    ldxdw r3, [r9+24]
-    stxdw [r10-19], r3
-    ldxh r3, [r9+32]
-    stxh [r10-11], r3
-    stb [r10-9], 0                 ; Pad1
-    ; --- encapsulate ---
-    mov r1, r6
-    mov r2, 0                      ; BPF_LWT_ENCAP_SEG6 (outer)
-    mov r3, r10
-    add r3, -80
-    mov r4, {DM_SRH_LEN}
-    call lwt_push_encap
-out:
-    mov r0, 0
-    exit
-"""
-
-
 def dm_encap_prog(dm_config: ArrayMap, jit: bool = True) -> Program:
     """The §4.1 transit sampler; attach as a route's ``lwt_out`` program."""
-    return Program(
-        DM_ENCAP_ASM,
-        maps={"dm_config": dm_config},
-        name="dm_encap",
-        jit=jit,
-        allowed_helpers=LWT_HELPERS,
-    )
-
-
-END_DM_ASM = f"""
-    ; §4.1 End.DM: read the TX timestamp from the DM TLV and the RX
-    ; software timestamp from the skb, push both (plus the controller
-    ; coordinates) to user space via a perf event, then decapsulate (OWD)
-    ; or forward the probe back to the querier (TWD).
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, {DM_PROBE_MIN_LEN}
-    jgt r2, r8, pass
-    ldxb r3, [r7+6]
-    jne r3, 43, pass
-    ldxb r3, [r7+{DM_TLV_OFF}]
-    jne r3, 128, pass              ; no DM TLV: not a probe
-    ; --- build the 40-byte event record at r10-40 ---
-    ldxdw r3, [r7+{DM_TS_OFF}]
-    be64 r3                        ; wire big-endian -> host
-    stxdw [r10-40], r3             ; tx_timestamp
-    mov r1, r6
-    call skb_rx_timestamp
-    stxdw [r10-32], r0             ; rx_timestamp
-    ldxdw r3, [r7+{DM_CTRL_ADDR_OFF}]
-    stxdw [r10-24], r3
-    ldxdw r3, [r7+{DM_CTRL_ADDR_OFF + 8}]
-    stxdw [r10-16], r3             ; controller address (raw copy)
-    ldxh r3, [r7+{DM_CTRL_PORT_OFF}]
-    stxh [r10-8], r3               ; controller port (wire order)
-    ldxb r3, [r7+{DM_KIND_OFF}]
-    stxb [r10-6], r3               ; probe kind
-    stb [r10-5], 0
-    stw [r10-4], 0
-    mov r1, r6
-    lddw r2, map:dm_events
-    mov32 r3, -1                   ; BPF_F_CURRENT_CPU
-    mov r4, r10
-    add r4, -40
-    mov r5, {DM_EVENT_SIZE}
-    call perf_event_output
-    ldxb r3, [r7+{DM_KIND_OFF}]
-    jeq r3, 1, twd
-    ; OWD probe: decapsulate so the inner packet continues normally.
-    stw [r10-44], 254              ; main table
-    mov r1, r6
-    mov r2, 7                      ; SEG6_LOCAL_ACTION_END_DT6
-    mov r3, r10
-    add r3, -44
-    mov r4, 4
-    call lwt_seg6_action
-    jne r0, 0, err
-    mov r0, 7                      ; BPF_REDIRECT
-    exit
-twd:
-    mov r0, 0                      ; forward to the querier (next segment)
-    exit
-pass:
-    mov r0, 0
-    exit
-err:
-    mov r0, 2
-    exit
-"""
+    return _load("dm_encap", "dm_encap", jit, maps={"dm_config": dm_config})
 
 
 def end_dm_prog(dm_events: PerfEventArrayMap, jit: bool = True) -> Program:
     """The §4.1 End.DM network function; attach via ``EndBPF``."""
-    return Program(
-        END_DM_ASM,
-        maps={"dm_events": dm_events},
-        name="end_dm",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
+    return _load("end_dm", "end_dm", jit, maps={"dm_events": dm_events})
 
 
 # ---------------------------------------------------------------------------
@@ -431,86 +181,10 @@ def wrr_state_counters(state_map: ArrayMap) -> tuple[int, int, int, int]:
     return struct.unpack("<IIII", raw)
 
 
-WRR_ASM = f"""
-    ; §4.2 per-packet Weighted Round-Robin scheduler (120 SLOC in the
-    ; paper's C).  State (credits + per-link packet counts) lives in a
-    ; map; the chosen link's segment is pushed as an outer SRH, and the
-    ; peer's native End.DT6 decapsulates.
-    mov r6, r1
-    stw [r10-4], 0
-    lddw r1, map:wrr_config
-    mov r2, r10
-    add r2, -4
-    call map_lookup_elem
-    jeq r0, 0, out
-    mov r7, r0                     ; config
-    stw [r10-4], 0
-    lddw r1, map:wrr_state
-    mov r2, r10
-    add r2, -4
-    call map_lookup_elem
-    jeq r0, 0, out
-    mov r8, r0                     ; state
-    ldxw r1, [r8+0]                ; credits link0
-    ldxw r2, [r8+4]                ; credits link1
-    mov r3, r1
-    or r3, r2
-    jne r3, 0, pick
-    ldxw r1, [r7+32]               ; refill from weights
-    ldxw r2, [r7+36]
-pick:
-    jge r1, r2, use0
-    sub r2, 1                      ; send on link1
-    stxw [r8+0], r1
-    stxw [r8+4], r2
-    ldxw r4, [r8+12]
-    add r4, 1
-    stxw [r8+12], r4
-    ldxdw r3, [r7+16]              ; segment of link1
-    stxdw [r10-24], r3
-    ldxdw r3, [r7+24]
-    stxdw [r10-16], r3
-    ja build
-use0:
-    sub r1, 1                      ; send on link0
-    stxw [r8+0], r1
-    stxw [r8+4], r2
-    ldxw r4, [r8+8]
-    add r4, 1
-    stxw [r8+8], r4
-    ldxdw r3, [r7+0]               ; segment of link0
-    stxdw [r10-24], r3
-    ldxdw r3, [r7+8]
-    stxdw [r10-16], r3
-build:
-    stb [r10-32], 41               ; next header: IPv6
-    stb [r10-31], {WRR_SRH_LEN // 8 - 1}
-    stb [r10-30], 4                ; routing type
-    stb [r10-29], 0                ; segments_left = 0 (direct to decap)
-    stb [r10-28], 0                ; last_entry
-    stb [r10-27], 0                ; flags
-    sth [r10-26], 0                ; tag
-    mov r1, r6
-    mov r2, 0                      ; BPF_LWT_ENCAP_SEG6
-    mov r3, r10
-    add r3, -32
-    mov r4, {WRR_SRH_LEN}
-    call lwt_push_encap
-out:
-    mov r0, 0
-    exit
-"""
-
-
 def wrr_prog(config_map: ArrayMap, state_map: ArrayMap, jit: bool = True) -> Program:
     """The §4.2 WRR link-aggregation scheduler (BPF LWT)."""
-    return Program(
-        WRR_ASM,
-        maps={"wrr_config": config_map, "wrr_state": state_map},
-        name="wrr_scheduler",
-        jit=jit,
-        allowed_helpers=LWT_HELPERS,
-    )
+    maps = {"wrr_config": config_map, "wrr_state": state_map}
+    return _load("wrr", "wrr_scheduler", jit, maps=maps)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +192,8 @@ def wrr_prog(config_map: ArrayMap, state_map: ArrayMap, jit: bool = True) -> Pro
 # ---------------------------------------------------------------------------
 
 # OAMP probe: IPv6 (40) + SRH (64): fixed 8 | 2 segments | ctrl TLV | PadN.
+#   The controller TLV starts at byte 80 (address 82, port 98).
 OAMP_SRH_LEN = 64
-OAMP_CTRL_TLV_OFF = 40 + 8 + 32  # 80
-OAMP_CTRL_ADDR_OFF = OAMP_CTRL_TLV_OFF + 2  # 82
-OAMP_CTRL_PORT_OFF = OAMP_CTRL_ADDR_OFF + 16  # 98
-OAMP_PROBE_MIN_LEN = 40 + OAMP_SRH_LEN  # 104
 OAMP_MAX_NEXTHOPS = 4
 OAMP_EVENT_SIZE = 8 + 16 + 16 + 16 * OAMP_MAX_NEXTHOPS  # 104
 
@@ -553,107 +224,6 @@ class OampEvent:
         return cls(count, port, prober, target, nexthops)
 
 
-def _oamp_copy_nexthops() -> str:
-    lines = []
-    for i in range(OAMP_MAX_NEXTHOPS * 2):  # 8 double-words
-        lines.append(f"    ldxdw r3, [r10-{96 - 8 * i}]")
-        lines.append(f"    stxdw [r10-{176 - 8 * i}], r3")
-    return "\n".join(lines)
-
-
-END_OAMP_ASM = f"""
-    ; §4.3 End.OAMP: query the FIB for the probe target's ECMP nexthops
-    ; (custom helper) and report them to the prober via a perf event
-    ; (60 SLOC in the paper's C).  Non-probe packets pass through.
-    mov r6, r1
-    ldxdw r7, [r6+16]
-    ldxdw r8, [r6+24]
-    mov r2, r7
-    add r2, {OAMP_PROBE_MIN_LEN}
-    jgt r2, r8, pass
-    ldxb r3, [r7+6]
-    jne r3, 43, pass
-    ldxb r3, [r7+{OAMP_CTRL_TLV_OFF}]
-    jne r3, 129, pass              ; no controller TLV: not a probe
-    ; target address = current destination (the segment after End.BPF's
-    ; advance), copied to the stack for the helper
-    ldxdw r3, [r7+24]
-    stxdw [r10-112], r3
-    ldxdw r3, [r7+32]
-    stxdw [r10-104], r3
-    mov r1, r6
-    mov r2, r10
-    add r2, -112
-    mov r3, r10
-    add r3, -96                    ; 64-byte nexthop output buffer
-    mov r4, 64
-    call get_ecmp_nexthops
-    ; --- event record (104 bytes at r10-216) ---
-    stxw [r10-216], r0             ; nexthop count
-    ldxh r3, [r7+{OAMP_CTRL_PORT_OFF}]
-    stxh [r10-212], r3             ; prober port (wire order)
-    sth [r10-210], 0
-    ldxdw r3, [r7+{OAMP_CTRL_ADDR_OFF}]
-    stxdw [r10-208], r3
-    ldxdw r3, [r7+{OAMP_CTRL_ADDR_OFF + 8}]
-    stxdw [r10-200], r3            ; prober address
-    ldxdw r3, [r10-112]
-    stxdw [r10-192], r3
-    ldxdw r3, [r10-104]
-    stxdw [r10-184], r3            ; target address
-{_oamp_copy_nexthops()}
-    mov r1, r6
-    lddw r2, map:oamp_events
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -216
-    mov r5, {OAMP_EVENT_SIZE}
-    call perf_event_output
-    mov r0, 2                      ; probe consumed
-    exit
-pass:
-    mov r0, 0
-    exit
-"""
-
-
 def end_oamp_prog(oamp_events: PerfEventArrayMap, jit: bool = True) -> Program:
     """The §4.3 End.OAMP network function; attach via ``EndBPF``."""
-    return Program(
-        END_OAMP_ASM,
-        maps={"oamp_events": oamp_events},
-        name="end_oamp",
-        jit=jit,
-        allowed_helpers=SEG6LOCAL_HELPERS,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Textual (.s) editions of the library programs
-# ---------------------------------------------------------------------------
-
-#: ``.s`` sources for the programs above, in the kernel-style syntax of
-#: :mod:`repro.ebpf.text`.  Each assembles byte-identical to its classic
-#: counterpart (tests/ebpf/test_easm.py pins this), so either frontend
-#: may be used interchangeably — and each ``.s`` file carries its hook in
-#: a ``.hook`` directive, from which ``asm_prog`` derives the helper set.
-ASM_DIR = Path(__file__).parent / "asm"
-
-
-def asm_text(name: str) -> str:
-    """Return the ``.s`` source of a library program (e.g. ``"wrr"``)."""
-    path = ASM_DIR / f"{name}.s"
-    if not path.exists():
-        available = ", ".join(sorted(p.stem for p in ASM_DIR.glob("*.s")))
-        raise KeyError(f"no library asm program {name!r} (have: {available})")
-    return path.read_text()
-
-
-def asm_prog(name: str, maps=None, jit: bool = True) -> Program:
-    """Load a library program from its ``.s`` edition.
-
-    ``maps`` supplies pre-created map instances by symbol name (e.g. the
-    WRR scheduler's ``wrr_config``/``wrr_state``); maps declared in the
-    source but not provided are instantiated from their declarations.
-    """
-    return load_text(asm_text(name), maps=maps, name=name, jit=jit)
+    return _load("end_oamp", "end_oamp", jit, maps={"oamp_events": oamp_events})

@@ -2,9 +2,10 @@
 framework, a BPF front-end in Python giving straightforward access to
 perf events"*).
 
-The real daemons load C through LLVM; ours load eBPF assembly through
-:mod:`repro.ebpf`, but the control-plane API mirrors bcc so the paper's
-100-SLOC daemon translates almost line for line:
+The real daemons load C through LLVM; ours load the kernel-syntax eBPF
+assembly LLVM would emit for it (:mod:`repro.ebpf.text`), but the
+control-plane API mirrors bcc so the paper's 100-SLOC daemon translates
+almost line for line:
 
 >>> b = BPF(text=prog_asm, maps={"events": events_map})     # doctest: +SKIP
 >>> b.attach_seg6local(router, "fc00::100/128")             # doctest: +SKIP
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..ebpf import Map, PerfEventArrayMap, Program
+from ..ebpf import Map, PerfEventArrayMap
+from ..ebpf.text import load_text
 from ..net.lwt_bpf import BpfLwt
 from ..net.seg6_helpers import LWT_HELPERS, SEG6LOCAL_HELPERS
 from ..net.seg6local import EndBPF
@@ -59,7 +61,7 @@ class BPF:
         allowed = SEG6LOCAL_HELPERS if prog_type == self.SEG6LOCAL else LWT_HELPERS
         self.maps = dict(maps or {})
         self.prog_type = prog_type
-        self.program = Program(
+        self.program = load_text(
             text, maps=self.maps, name=name, jit=jit, allowed_helpers=allowed
         )
         self._perf_handles: dict[str, PerfBufferHandle] = {}

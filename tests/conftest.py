@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ebpf import Program
+from repro.ebpf import load_text
 from repro.net import EndBPF, Node, SEG6LOCAL_HELPERS
 
 
@@ -21,8 +21,8 @@ def router():
 
 
 def install_end_bpf(node: Node, asm: str, segment: str = "fc00:e::100", maps=None, jit=True):
-    """Load ``asm`` as an End.BPF action on ``segment`` of ``node``."""
-    prog = Program(asm, maps=maps, jit=jit, allowed_helpers=SEG6LOCAL_HELPERS)
+    """Load kernel-syntax ``asm`` as an End.BPF action on ``segment`` of ``node``."""
+    prog = load_text(asm, maps=maps, jit=jit, allowed_helpers=SEG6LOCAL_HELPERS)
     action = EndBPF(prog)
     node.add_route(f"{segment}/128", encap=action)
     return action

@@ -9,42 +9,42 @@ keeps evolving exactly as it would across fresh ``make_context`` calls.
 
 import pytest
 
-from repro.ebpf import ArrayMap, HashMap, Program, compiled_handler
+from repro.ebpf import ArrayMap, HashMap, compiled_handler, load_text
 from repro.ebpf.jit import CompiledHandler
 
 PACKET = bytes([0x60]) + bytes(39)
 
 COUNTER_ASM = """
-    mov r6, r1
-    mov r1, 0
-    stxw [r10-4], r1
-    lddw r1, map:hits
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    r1 = 0
+    *(u32 *)(r10 - 4) = r1
+    r1 = hits ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
 MARK_KEYED_ASM = """
-    mov r6, r1
-    ldxw r2, [r6+8]
-    stxw [r10-4], r2
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    r6 = r1
+    r2 = *(u32 *)(r6 + 8)
+    *(u32 *)(r10 - 4) = r2
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_lookup_elem
-    jeq r0, 0, out
-    ldxdw r1, [r0+0]
-    add r1, 1
-    stxdw [r0+0], r1
+    if r0 == 0 goto out
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
 out:
-    mov r0, 0
+    r0 = 0
     exit
 """
 
@@ -55,10 +55,10 @@ def key(n: int) -> bytes:
 
 def test_handler_cache_keyed_by_program_and_attach_point():
     counter = ArrayMap("ch_hits_a", value_size=8, max_entries=1)
-    prog = Program(COUNTER_ASM, maps={"hits": counter})
+    prog = load_text(COUNTER_ASM, maps={"hits": counter})
     assert compiled_handler(prog, "seg6local") is compiled_handler(prog, "seg6local")
     assert compiled_handler(prog, "seg6local") is not compiled_handler(prog, "lwt_out")
-    other = Program(COUNTER_ASM, maps={"hits": counter})
+    other = load_text(COUNTER_ASM, maps={"hits": counter})
     assert compiled_handler(prog, "seg6local") is not compiled_handler(other, "seg6local")
 
 
@@ -66,8 +66,8 @@ def test_reused_context_matches_fresh_contexts():
     """N runs through one handler == N runs through fresh contexts."""
     counter_a = ArrayMap("ch_hits_b", value_size=8, max_entries=1)
     counter_b = ArrayMap("ch_hits_c", value_size=8, max_entries=1)
-    prog_handler = Program(COUNTER_ASM, maps={"hits": counter_a})
-    prog_fresh = Program(COUNTER_ASM, maps={"hits": counter_b})
+    prog_handler = load_text(COUNTER_ASM, maps={"hits": counter_a})
+    prog_fresh = load_text(COUNTER_ASM, maps={"hits": counter_b})
     handler = CompiledHandler(prog_handler, "test")
 
     for _ in range(5):
@@ -88,7 +88,7 @@ def test_no_stale_map_value_regions_after_slot_reuse():
     mapped different storage at the same guest address.
     """
     m = HashMap("ch_hash", key_size=4, value_size=8, max_entries=2)
-    prog = Program(MARK_KEYED_ASM, maps={"m": m})
+    prog = load_text(MARK_KEYED_ASM, maps={"m": m})
     handler = CompiledHandler(prog, "test")
 
     m.update(key(1), (0).to_bytes(8, "little"))
@@ -107,15 +107,15 @@ def test_no_stale_map_value_regions_after_slot_reuse():
 
 def test_per_invocation_state_is_reset():
     """trace log, metadata, cb slots and the stack are fresh per arm()."""
-    prog = Program(
+    prog = load_text(
         """
-        mov r6, r1
-        mov r1, 7
-        stxdw [r6+0x20], r1        ; cb[0] = 7
-        ldxdw r7, [r6+0x20]
-        mov r1, 1
-        stxdw [r10-8], r1          ; dirty the stack
-        mov r0, r7
+        r6 = r1
+        r1 = 7
+        *(u64 *)(r6 + 0x20) = r1   ; cb[0] = 7
+        r7 = *(u64 *)(r6 + 0x20)
+        r1 = 1
+        *(u64 *)(r10 - 8) = r1     ; dirty the stack
+        r0 = r7
         exit
         """
     )
@@ -135,9 +135,9 @@ def test_per_invocation_state_is_reset():
 
 
 def test_rearm_rebinds_packet_and_mark():
-    prog = Program(
+    prog = load_text(
         """
-        ldxw r0, [r1+0]            ; skb->len
+        r0 = *(u32 *)(r1 + 0)      ; skb->len
         exit
         """
     )

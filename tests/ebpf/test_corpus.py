@@ -11,8 +11,8 @@ pinning three things:
 
 On top of the goldens, every accepted program is:
 
-* round-tripped ``assemble → disasm → re-assemble`` byte-identically
-  (the property :mod:`repro.ebpf.disasm` promises), and
+* round-tripped ``.s → disasm → parse_asm`` byte-identically (the
+  property :mod:`repro.ebpf.disasm` promises), and
 * executed differentially — interpreter vs JIT — on seeded random
   packets, comparing the return value, the full helper-call trace, the
   final map contents and the mutable context fields.
@@ -39,7 +39,6 @@ from repro.ebpf import (
     LpmTrieMap,
     PerfEventArrayMap,
     VerifierError,
-    assemble,
     disassemble,
     encode_program,
     link,
@@ -135,10 +134,10 @@ def test_golden(path, request):
 
 @pytest.mark.parametrize("path", CORPUS, ids=IDS)
 def test_roundtrip_reassembles_byte_identical(path):
-    """assemble(s) -> disasm -> re-assemble is byte-identical, every program."""
+    """.s -> disasm -> parse_asm is byte-identical, every program."""
     linked, _prog, _verdict, _error = _build(path)
     text = disassemble(linked.insns)
-    again = assemble(text)
+    again = parse_asm(text).sections["main"].items
     assert encode_program(again) == encode_program(linked.insns)
 
 

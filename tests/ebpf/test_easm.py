@@ -1,17 +1,23 @@
 """Unit tests for the kernel-style text assembler (repro.ebpf.text.easm).
 
-The load-bearing property is the last test class: the library programs
-re-expressed in ``.s`` syntax assemble byte-identical to their classic
-``bpf_asm``-style originals, so the two frontends are interchangeable.
+Every instruction form is pinned to its encoding, and every library
+program's ``.s`` source to a golden file of its pre-relocation bytes
+(``library_golden/``).  Both references are the bytes the bpf_asm-style
+assembler, the toolchain's previous front-end, produced for the same
+programs, so the move to kernel syntax changed no program.
 """
+
+from pathlib import Path
 
 import pytest
 
 import repro.net  # noqa: F401 -- registers the seg6 helpers by name
-from repro.ebpf import assemble, encode_program, parse_asm
+from repro.ebpf import encode_program, parse_asm
 from repro.ebpf.errors import AsmError
 from repro.ebpf.text import link
 from repro.progs import library
+
+EXIT = "9500000000000000"
 
 
 def _insns(source: str):
@@ -19,96 +25,93 @@ def _insns(source: str):
     return link(parse_asm(source + "\n    exit")).insns
 
 
-def _same_as_classic(easm_line: str, classic_line: str):
-    got = encode_program(_insns(f"    {easm_line}"))
-    want = encode_program(assemble(f"{classic_line}\nexit"))
-    assert got == want, f"{easm_line!r} != {classic_line!r}"
+# --- instruction forms: every easm form has a pinned encoding ----------------
 
-
-# --- instruction forms: every easm form maps onto its classic twin -----------
-
-
-@pytest.mark.parametrize(
-    ("easm", "classic"),
-    [
-        ("r3 = r7", "mov r3, r7"),
-        ("w3 = w7", "mov32 r3, r7"),
-        ("r2 = -42", "mov r2, -42"),
-        ("w2 = 10", "mov32 r2, 10"),
-        ("r1 += r2", "add r1, r2"),
-        ("r1 -= 3", "sub r1, 3"),
-        ("r4 *= 5", "mul r4, 5"),
-        ("r4 /= 5", "div r4, 5"),
-        ("r4 %= 5", "mod r4, 5"),
-        ("r4 &= 0xff", "and r4, 0xff"),
-        ("r4 |= 1", "or r4, 1"),
-        ("r4 ^= r5", "xor r4, r5"),
-        ("r4 <<= 2", "lsh r4, 2"),
-        ("r4 >>= 2", "rsh r4, 2"),
-        ("r4 s>>= 2", "arsh r4, 2"),
-        ("w4 += w5", "add32 r4, r5"),
-        ("w4 s>>= 1", "arsh32 r4, 1"),
-        ("r2 = -r2", "neg r2"),
-        ("w2 = -w2", "neg32 r2"),
-        ("r4 = be16 r4", "be16 r4"),
-        ("r4 = be32 r4", "be32 r4"),
-        ("r4 = be64 r4", "be64 r4"),
-        ("r4 = le16 r4", "le16 r4"),
-        ("r3 = *(u8 *)(r1 + 6)", "ldxb r3, [r1+6]"),
-        ("r3 = *(u16 *)(r1 + 46)", "ldxh r3, [r1+46]"),
-        ("r3 = *(u32 *)(r1 + 0)", "ldxw r3, [r1+0]"),
-        ("r3 = *(u64 *)(r10 - 8)", "ldxdw r3, [r10-8]"),
-        ("*(u64 *)(r10 - 8) = r3", "stxdw [r10-8], r3"),
-        ("*(u16 *)(r10 - 2) = r4", "stxh [r10-2], r4"),
-        ("*(u32 *)(r10 - 4) = 254", "stw [r10-4], 254"),
-        ("*(u8 *)(r10 - 1) = 10", "stb [r10-1], 10"),
-        ("r1 = 0x1122334455 ll", "lddw r1, 0x1122334455"),
-        ("call ktime_get_ns", "call ktime_get_ns"),
-        ("call 5", "call 5"),
-    ],
-)
-def test_easm_form_matches_classic(easm, classic):
-    _same_as_classic(easm, classic)
+# (kernel syntax, bpf_asm mnemonic naming the case, encoding)
+FORMS = [
+    ("r3 = r7", "mov r3, r7", "bf73000000000000"),
+    ("w3 = w7", "mov32 r3, r7", "bc73000000000000"),
+    ("r2 = -42", "mov r2, -42", "b7020000d6ffffff"),
+    ("w2 = 10", "mov32 r2, 10", "b40200000a000000"),
+    ("r1 += r2", "add r1, r2", "0f21000000000000"),
+    ("r1 -= 3", "sub r1, 3", "1701000003000000"),
+    ("r4 *= 5", "mul r4, 5", "2704000005000000"),
+    ("r4 /= 5", "div r4, 5", "3704000005000000"),
+    ("r4 %= 5", "mod r4, 5", "9704000005000000"),
+    ("r4 &= 0xff", "and r4, 0xff", "57040000ff000000"),
+    ("r4 |= 1", "or r4, 1", "4704000001000000"),
+    ("r4 ^= r5", "xor r4, r5", "af54000000000000"),
+    ("r4 <<= 2", "lsh r4, 2", "6704000002000000"),
+    ("r4 >>= 2", "rsh r4, 2", "7704000002000000"),
+    ("r4 s>>= 2", "arsh r4, 2", "c704000002000000"),
+    ("w4 += w5", "add32 r4, r5", "0c54000000000000"),
+    ("w4 s>>= 1", "arsh32 r4, 1", "c404000001000000"),
+    ("r2 = -r2", "neg r2", "8702000000000000"),
+    ("w2 = -w2", "neg32 r2", "8402000000000000"),
+    ("r4 = be16 r4", "be16 r4", "dc04000010000000"),
+    ("r4 = be32 r4", "be32 r4", "dc04000020000000"),
+    ("r4 = be64 r4", "be64 r4", "dc04000040000000"),
+    ("r4 = le16 r4", "le16 r4", "d404000010000000"),
+    ("r3 = *(u8 *)(r1 + 6)", "ldxb r3, [r1+6]", "7113060000000000"),
+    ("r3 = *(u16 *)(r1 + 46)", "ldxh r3, [r1+46]", "69132e0000000000"),
+    ("r3 = *(u32 *)(r1 + 0)", "ldxw r3, [r1+0]", "6113000000000000"),
+    ("r3 = *(u64 *)(r10 - 8)", "ldxdw r3, [r10-8]", "79a3f8ff00000000"),
+    ("*(u64 *)(r10 - 8) = r3", "stxdw [r10-8], r3", "7b3af8ff00000000"),
+    ("*(u16 *)(r10 - 2) = r4", "stxh [r10-2], r4", "6b4afeff00000000"),
+    ("*(u32 *)(r10 - 4) = 254", "stw [r10-4], 254", "620afcfffe000000"),
+    ("*(u8 *)(r10 - 1) = 10", "stb [r10-1], 10", "720affff0a000000"),
+    (
+        "r1 = 0x1122334455 ll",
+        "lddw r1, 0x1122334455",
+        "18010000554433220000000011000000",
+    ),
+    ("call ktime_get_ns", "call ktime_get_ns", "8500000005000000"),
+    ("call 5", "call 5", "8500000005000000"),
+]
 
 
 @pytest.mark.parametrize(
-    ("cond", "classic_op"),
-    [
-        ("==", "jeq"),
-        ("!=", "jne"),
-        (">", "jgt"),
-        (">=", "jge"),
-        ("<", "jlt"),
-        ("<=", "jle"),
-        ("s>", "jsgt"),
-        ("s>=", "jsge"),
-        ("s<", "jslt"),
-        ("s<=", "jsle"),
-        ("&", "jset"),
-    ],
+    ("easm", "want"),
+    [(easm, want) for easm, _name, want in FORMS],
+    ids=[f"{easm}-{name}" for easm, name, _want in FORMS],
 )
-def test_branches_match_classic(cond, classic_op):
-    got = encode_program(
-        _insns(f"    if r2 {cond} 7 goto out\n    r0 = 0\nout:")
-    )
-    want = encode_program(
-        assemble(f"{classic_op} r2, 7, out\nmov r0, 0\nout:\nexit")
-    )
-    assert got == want
+def test_easm_form_matches_classic(easm, want):
+    assert encode_program(_insns(f"    {easm}")).hex() == want + EXIT
+
+
+# (operator, op name, `if r2 <op> 7 goto +1`, `if w2 <op> w3 goto +1`)
+BRANCHES = [
+    ("==", "jeq", "1502010007000000", "1e32010000000000"),
+    ("!=", "jne", "5502010007000000", "5e32010000000000"),
+    (">", "jgt", "2502010007000000", "2e32010000000000"),
+    (">=", "jge", "3502010007000000", "3e32010000000000"),
+    ("<", "jlt", "a502010007000000", "ae32010000000000"),
+    ("<=", "jle", "b502010007000000", "be32010000000000"),
+    ("s>", "jsgt", "6502010007000000", "6e32010000000000"),
+    ("s>=", "jsge", "7502010007000000", "7e32010000000000"),
+    ("s<", "jslt", "c502010007000000", "ce32010000000000"),
+    ("s<=", "jsle", "d502010007000000", "de32010000000000"),
+    ("&", "jset", "4502010007000000", "4e32010000000000"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cond", "want", "want32"),
+    [(cond, want, want32) for cond, _name, want, want32 in BRANCHES],
+    ids=[f"{cond}-{name}" for cond, name, _want, _want32 in BRANCHES],
+)
+def test_branches_match_classic(cond, want, want32):
+    tail = "b700000000000000" + EXIT  # r0 = 0; out: exit
+    got = _insns(f"    if r2 {cond} 7 goto out\n    r0 = 0\nout:")
+    assert encode_program(got).hex() == want + tail
     # And the jmp32 variants via w registers.
-    got32 = encode_program(
-        _insns(f"    if w2 {cond} w3 goto out\n    r0 = 0\nout:")
-    )
-    want32 = encode_program(
-        assemble(f"{classic_op}32 r2, r3, out\nmov r0, 0\nout:\nexit")
-    )
-    assert got32 == want32
+    got32 = _insns(f"    if w2 {cond} w3 goto out\n    r0 = 0\nout:")
+    assert encode_program(got32).hex() == want32 + tail
 
 
 def test_goto_matches_ja():
     got = encode_program(_insns("    goto out\n    r0 = 1\nout:"))
-    want = encode_program(assemble("ja out\nmov r0, 1\nout:\nexit"))
-    assert got == want
+    assert got.hex() == "0500010000000000" "b700000001000000" + EXIT
 
 
 def test_map_symbol_lddw_matches_classic_map_ref():
@@ -118,8 +121,7 @@ def test_map_symbol_lddw_matches_classic_map_ref():
     exit
 """
     got = link(parse_asm(src)).insns
-    want = assemble("lddw r1, map:hits\nexit")
-    assert encode_program(got) == encode_program(want)
+    assert encode_program(got).hex() == "18110000000000000000000000000000" + EXIT
     assert got[0].map_ref == "hits"
 
 
@@ -227,29 +229,33 @@ def test_errors_carry_line_numbers():
         parse_asm("    r0 = 0\n    r1 = 1\n    bogus!\n    exit")
 
 
-# --- the library programs: .s editions are byte-identical --------------------
+# --- the library programs: .s sources hold their pinned bytes ---------------
 
-
-LIBRARY_PAIRS = [
-    ("end", library.END_PROG_ASM),
-    ("end_t", library.END_T_PROG_ASM.format(table=254)),
-    ("tag_increment", library.TAG_INCREMENT_ASM),
-    ("add_tlv", library.ADD_TLV_ASM),
-    ("wrr", library.WRR_ASM),
-]
-
-
-@pytest.mark.parametrize(
-    ("name", "classic"), LIBRARY_PAIRS, ids=[p[0] for p in LIBRARY_PAIRS]
+LIBRARY = sorted(p.stem for p in library.ASM_DIR.glob("*.s"))
+GOLDEN_DIR = Path(__file__).parent / "library_golden"
+_GOLDEN_HEADER = (
+    "# pre-relocation bytes of src/repro/progs/asm/{name}.s -- regenerate with:\n"
+    "#   PYTHONPATH=src python -m pytest tests/ebpf/test_easm.py --regen-golden\n"
 )
-def test_library_asm_editions_byte_identical(name, classic):
-    textual = link(parse_asm(library.asm_text(name))).insns
-    builder = assemble(classic)
-    assert encode_program(textual) == encode_program(builder)
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_asm_editions_byte_identical(name, request):
+    blob = encode_program(link(parse_asm(library.asm_text(name))).insns)
+    text = _GOLDEN_HEADER.format(name=name) + "".join(
+        blob[i : i + 8].hex() + "\n" for i in range(0, len(blob), 8)
+    )
+    golden = GOLDEN_DIR / f"{name}.expected"
+    if request.config.getoption("--regen-golden"):
+        golden.write_text(text)
+        return
+    assert text == golden.read_text(), (
+        f"{name}.s no longer assembles to its golden bytes"
+    )
 
 
 def test_asm_prog_loads_and_runs():
-    prog = library.asm_prog("end")
+    prog = library.end_prog()
     ret, _hctx = prog.run_on_packet(b"\x60" + b"\x00" * 39)
     assert ret == 0
 

@@ -8,7 +8,7 @@ from repro.ebpf import (
     HELPER_IDS_BY_NAME,
     HELPERS_BY_ID,
     PerfEventArrayMap,
-    Program,
+    load_text,
 )
 from repro.ebpf.errors import HelperError
 from repro.ebpf.helpers import register_helper
@@ -39,7 +39,7 @@ def test_duplicate_registration_rejected():
 
 
 def test_ktime_uses_invocation_clock():
-    prog = Program("call ktime_get_ns\nexit")
+    prog = load_text("call ktime_get_ns\nexit")
     ret, _ = prog.run_on_packet(PKT, clock_ns=lambda: 123456)
     assert ret == 123456
 
@@ -47,7 +47,7 @@ def test_ktime_uses_invocation_clock():
 def test_prandom_is_deterministic_per_seed():
     import random
 
-    prog = Program("call get_prandom_u32\nexit")
+    prog = load_text("call get_prandom_u32\nexit")
     r1, _ = prog.run_on_packet(PKT, rng=random.Random(42))
     r2, _ = prog.run_on_packet(PKT, rng=random.Random(42))
     r3, _ = prog.run_on_packet(PKT, rng=random.Random(43))
@@ -56,7 +56,7 @@ def test_prandom_is_deterministic_per_seed():
 
 
 def test_smp_processor_id():
-    prog = Program("call get_smp_processor_id\nexit")
+    prog = load_text("call get_smp_processor_id\nexit")
     ret, _ = prog.run_on_packet(PKT)
     assert ret == 0
 
@@ -64,18 +64,18 @@ def test_smp_processor_id():
 def test_map_update_and_delete_from_program():
     m = ArrayMap("m", value_size=8, max_entries=2)
     source = """
-    stw [r10-4], 1
-    stdw [r10-16], 777
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
-    mov r3, r10
-    add r3, -16
-    mov r4, 0
+    *(u32 *)(r10 - 4) = 1
+    *(u64 *)(r10 - 16) = 777
+    r1 = m ll
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
     call map_update_elem
     exit
     """
-    ret, _ = Program(source, maps={"m": m}).run_on_packet(PKT)
+    ret, _ = load_text(source, maps={"m": m}).run_on_packet(PKT)
     assert ret == 0
     assert int.from_bytes(m.lookup((1).to_bytes(4, "little")), "little") == 777
 
@@ -83,51 +83,51 @@ def test_map_update_and_delete_from_program():
 def test_map_delete_returns_error_for_array():
     m = ArrayMap("m", value_size=8, max_entries=2)
     source = """
-    stw [r10-4], 0
-    lddw r1, map:m
-    mov r2, r10
-    add r2, -4
+    *(u32 *)(r10 - 4) = 0
+    r1 = m ll
+    r2 = r10
+    r2 += -4
     call map_delete_elem
     exit
     """
-    ret, _ = Program(source, maps={"m": m}).run_on_packet(PKT)
+    ret, _ = load_text(source, maps={"m": m}).run_on_packet(PKT)
     assert ret == (-1) & ((1 << 64) - 1)  # arrays cannot delete
 
 
 def test_trace_printk_formats_into_log():
     source = """
-    mov r1, 0x000a7525          ; "%u\\n\\0" little-endian
-    stxw [r10-8], r1
-    mov r1, r10
-    add r1, -8
-    mov r2, 4
-    mov r3, 42
-    mov r4, 0
-    mov r5, 0
+    r1 = 0x000a7525             ; "%u\\n\\0" little-endian
+    *(u32 *)(r10 - 8) = r1
+    r1 = r10
+    r1 += -8
+    r2 = 4
+    r3 = 42
+    r4 = 0
+    r5 = 0
     call trace_printk
-    mov r0, 0
+    r0 = 0
     exit
     """
-    _ret, hctx = Program(source).run_on_packet(PKT)
+    _ret, hctx = load_text(source).run_on_packet(PKT)
     assert hctx.trace_log == ["42\n"]
 
 
 def test_perf_event_output_from_program():
     events = PerfEventArrayMap("ev")
     source = """
-    mov r6, r1
-    stdw [r10-8], 0x11
-    mov r1, r6
-    lddw r2, map:ev
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -8
-    mov r5, 8
+    r6 = r1
+    *(u64 *)(r10 - 8) = 0x11
+    r1 = r6
+    r2 = ev ll
+    w3 = -1
+    r4 = r10
+    r4 += -8
+    r5 = 8
     call perf_event_output
-    mov r0, 0
+    r0 = 0
     exit
     """
-    Program(source, maps={"ev": events}).run_on_packet(PKT)
+    load_text(source, maps={"ev": events}).run_on_packet(PKT)
     records = events.ring(0).drain()
     assert records == [(0x11).to_bytes(8, "little")]
 
@@ -135,26 +135,26 @@ def test_perf_event_output_from_program():
 def test_perf_event_output_requires_perf_map():
     not_perf = ArrayMap("np", value_size=8, max_entries=1)
     source = """
-    mov r6, r1
-    stdw [r10-8], 0
-    mov r1, r6
-    lddw r2, map:np
-    mov32 r3, -1
-    mov r4, r10
-    add r4, -8
-    mov r5, 8
+    r6 = r1
+    *(u64 *)(r10 - 8) = 0
+    r1 = r6
+    r2 = np ll
+    w3 = -1
+    r4 = r10
+    r4 += -8
+    r5 = 8
     call perf_event_output
-    mov r0, 0
+    r0 = 0
     exit
     """
     with pytest.raises(HelperError, match="perf event array"):
-        Program(source, maps={"np": not_perf}).run_on_packet(PKT)
+        load_text(source, maps={"np": not_perf}).run_on_packet(PKT)
 
 
 def test_skb_rx_timestamp_reads_packet_metadata():
     from repro.net import Packet
 
-    prog = Program("call skb_rx_timestamp\nexit")
+    prog = load_text("call skb_rx_timestamp\nexit")
     hctx = prog.make_context(PKT)
     pkt = Packet(PKT)
     pkt.rx_tstamp_ns = 987654

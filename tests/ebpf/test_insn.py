@@ -130,3 +130,39 @@ def test_signed_conversion_helpers():
     assert isa.to_signed32(0xFFFFFFFF) == -1
     assert isa.to_signed32(0x7FFFFFFF) == 0x7FFFFFFF
     assert isa.to_unsigned64(-1) == isa.U64
+
+
+# --- immediates run as they encode -------------------------------------------
+
+# One program per immediate-carrying instruction kind; R0 depends on how
+# the 32-bit field is read (the kernel sign-extends it to 64 bits).
+_IMM_PROGRAMS = {
+    "mov": "r0 = {imm}\nexit",
+    "add": "r0 = 1\nr0 += {imm}\nexit",
+    "and": "r0 = -1\nr0 &= {imm}\nexit",
+    "jeq": "r1 = {imm:#x} ll\nr0 = 0\nif r1 == {imm} goto out\nr0 = 1\nout:\nexit",
+}
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["vm", "jit"])
+@pytest.mark.parametrize("imm", [0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, -0x80000000], ids=hex)
+@pytest.mark.parametrize("op", sorted(_IMM_PROGRAMS))
+def test_imm_runs_the_same_after_encode_decode(op, imm, jit):
+    from repro.ebpf import Program, load_text
+
+    prog = load_text(_IMM_PROGRAMS[op].format(imm=imm), jit=jit)
+    rebuilt = Program(decode_program(encode_program(prog.insns)), jit=jit)
+    packet = b"\x60" + b"\x00" * 39
+    assert prog.run_on_packet(packet)[0] == rebuilt.run_on_packet(packet)[0]
+
+
+@pytest.mark.parametrize("op", sorted(_IMM_PROGRAMS))
+def test_imm_outside_32_bits_is_an_asm_error(op):
+    from repro.ebpf import AsmError, load_text
+
+    source = _IMM_PROGRAMS[op].format(imm=0x100000000)
+    line = source[: source.index("4294967296")].count("\n") + 1
+    with pytest.raises(AsmError, match=f"line {line}: immediate out of 32-bit range"):
+        load_text(source)
+    with pytest.raises(EncodingError, match="out of 32-bit range"):
+        Instruction(isa.BPF_ALU64 | isa.BPF_K | isa.BPF_MOV, 0, imm=1 << 32)

@@ -3,7 +3,14 @@ hook, multiple routing tables, packet traces, netdev stats."""
 
 import pytest
 
-from repro.ebpf import ArrayMap, PerfEventArrayMap, Program, assemble, disassemble
+from repro.ebpf import (
+    ArrayMap,
+    PerfEventArrayMap,
+    disassemble,
+    link,
+    load_text,
+    parse_asm,
+)
 from repro.net import (
     BpfLwt,
     LWT_HELPERS,
@@ -12,9 +19,7 @@ from repro.net import (
     pton,
 )
 from repro.progs import (
-    ADD_TLV_ASM,
-    END_PROG_ASM,
-    TAG_INCREMENT_ASM,
+    asm_text,
     dm_encap_prog,
     end_dm_prog,
     end_oamp_prog,
@@ -26,13 +31,12 @@ from repro.progs import (
 
 
 @pytest.mark.parametrize(
-    "source", [END_PROG_ASM, TAG_INCREMENT_ASM, ADD_TLV_ASM],
-    ids=["end", "tag", "add_tlv"],
+    "name", ["end", "tag_increment", "add_tlv"], ids=["end", "tag", "add_tlv"]
 )
-def test_paper_source_disassembles_and_reassembles(source):
-    insns = assemble(source)
+def test_paper_source_disassembles_and_reassembles(name):
+    insns = link(parse_asm(asm_text(name))).insns
     text = disassemble(insns)
-    again = assemble(text)
+    again = link(parse_asm(text)).insns
     assert [i.encode() for i in again] == [i.encode() for i in insns]
 
 
@@ -40,7 +44,7 @@ def test_loaded_programs_disassemble_with_map_names():
     config = ArrayMap("dm_config", value_size=40, max_entries=1)
     prog = dm_encap_prog(config)
     text = disassemble(prog.insns)
-    assert "lddw r1, map:" in text  # map reference preserved for readers
+    assert "r1 = dm_config ll" in text  # map reference preserved for readers
     assert "call lwt_push_encap" in text
     assert "call ktime_get_ns" in text
 
@@ -74,8 +78,8 @@ def test_lwt_xmit_hook_runs_after_out():
 
     def make_marker(value):
         # Programs that stamp the packet mark so the order is observable.
-        return Program(
-            f"mov r2, {value}\nstxw [r1+8], r2\nmov r0, 0\nexit",
+        return load_text(
+            f"r2 = {value}\n*(u32 *)(r1 + 8) = r2\nr0 = 0\nexit",
             allowed_helpers=LWT_HELPERS,
         )
 

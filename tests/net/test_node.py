@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ebpf import Program
+from repro.ebpf import load_text
 from repro.ebpf.jit import handler_cache_stats
 from repro.net import (
     BpfLwt,
@@ -168,7 +168,7 @@ def test_end_then_dt6_chain():
 
 
 def test_bpf_drop_counted(router):
-    prog = Program("mov r0, 2\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = load_text("r0 = 2\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     router.add_route("fc00:e::100/128", encap=EndBPF(prog))
     pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x")
     router.receive(pkt, router.devices["eth0"])
@@ -178,7 +178,7 @@ def test_bpf_drop_counted(router):
 
 
 def test_unknown_bpf_return_drops(router):
-    prog = Program("mov r0, 99\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = load_text("r0 = 99\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     action = EndBPF(prog)
     router.add_route("fc00:e::100/128", encap=action)
     pkt = make_srv6_udp_packet("fc00:1::1", ["fc00:e::100", "fc00:2::2"], 1, 2, b"x")
@@ -192,7 +192,7 @@ def test_unknown_bpf_return_drops(router):
 
 def test_endbpf_srh_validation_drop_is_not_bpf_dropped(router):
     """Pre-program SRH validation failures never count as BPF drops."""
-    prog = Program("mov r0, 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+    prog = load_text("r0 = 0\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
     router.add_route("fc00:e::100/128", encap=EndBPF(prog))
     pkt = make_udp_packet("fc00:1::1", "fc00:e::100", 1, 2, b"x")  # no SRH
     router.receive(pkt, router.devices["eth0"])
@@ -202,7 +202,7 @@ def test_endbpf_srh_validation_drop_is_not_bpf_dropped(router):
 
 def test_bpf_lwt_drop_counted_as_bpf_dropped(router):
     """BPF_DROP from an lwt hook sets Disposition.bpf, counted per verdict."""
-    prog = Program("mov r0, 2\nexit", allowed_helpers=LWT_HELPERS)
+    prog = load_text("r0 = 2\nexit", allowed_helpers=LWT_HELPERS)
     router.add_route(
         "fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog)
     )
@@ -222,13 +222,13 @@ def test_bpf_verdict_same_on_every_hook_path(router, ret, path):
     """End.BPF (batch of one or grouped) and lwt_in map a return code alike."""
     count = 4 if path == "endbpf_grouped" else 1
     if path == "lwt_in":
-        prog = Program(f"mov r0, {ret}\nexit", allowed_helpers=LWT_HELPERS)
+        prog = load_text(f"r0 = {ret}\nexit", allowed_helpers=LWT_HELPERS)
         owner = BpfLwt(prog_in=prog)
         router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=owner)
         pkts = [make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")]
         expected = bytearray(pkts[0].data)
     else:
-        prog = Program(f"mov r0, {ret}\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
+        prog = load_text(f"r0 = {ret}\nexit", allowed_helpers=SEG6LOCAL_HELPERS)
         owner = EndBPF(prog)
         router.add_route("fc00:e::100/128", encap=owner)
         pkts = [
@@ -274,7 +274,7 @@ def test_receive_accounts_ingress_device_stats(router):
 
 
 def test_bpf_lwt_in_can_drop(router):
-    prog = Program("mov r0, 2\nexit", allowed_helpers=LWT_HELPERS)
+    prog = load_text("r0 = 2\nexit", allowed_helpers=LWT_HELPERS)
     router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=BpfLwt(prog_in=prog))
     pkt = make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")
     router.receive(pkt, router.devices["eth0"])
@@ -282,7 +282,7 @@ def test_bpf_lwt_in_can_drop(router):
 
 
 def test_bpf_lwt_out_pass_through(router):
-    prog = Program("mov r0, 0\nexit", allowed_helpers=LWT_HELPERS)
+    prog = load_text("r0 = 0\nexit", allowed_helpers=LWT_HELPERS)
     lwt = BpfLwt(prog_out=prog)
     router.add_route("fc00:3::/64", via="fc00:2::1", dev="eth1", encap=lwt)
     pkt = make_udp_packet("fc00:1::1", "fc00:3::3", 1, 2, b"x")

@@ -8,7 +8,7 @@ loop is the context-managed ``net.run``.
 
 import pytest
 
-from repro.ebpf import Program
+from repro.ebpf import load_text
 from repro.lab import build_setup1
 from repro.net import SEG6LOCAL_HELPERS, pton
 from repro.progs import end_prog, tag_increment_prog
@@ -75,20 +75,20 @@ def test_map_state_shared_between_datapath_and_userspace_live():
     setup = build_setup1()
     net = setup.net
     decision = ArrayMap("decision", value_size=4, max_entries=1)
-    prog = Program(
+    prog = load_text(
         """
-        stw [r10-4], 0
-        lddw r1, map:decision
-        mov r2, r10
-        add r2, -4
+        *(u32 *)(r10 - 4) = 0
+        r1 = decision ll
+        r2 = r10
+        r2 += -4
         call map_lookup_elem
-        jeq r0, 0, fwd
-        ldxw r1, [r0+0]
-        jeq r1, 0, fwd
-        mov r0, 2                  ; configured to drop
+        if r0 == 0 goto fwd
+        r1 = *(u32 *)(r0 + 0)
+        if r1 == 0 goto fwd
+        r0 = 2                     ; configured to drop
         exit
         fwd:
-        mov r0, 0
+        r0 = 0
         exit
         """,
         maps={"decision": decision},

@@ -18,7 +18,7 @@ matching the scalar datapath.
 from __future__ import annotations
 
 from repro.bench.harness import FUNC_SEGMENT, copy_batch, make_router
-from repro.ebpf import Program
+from repro.ebpf import load_text
 from repro.ebpf.helpers import HELPERS_BY_ID, register_helper
 from repro.ebpf.jit import clear_handler_cache, handler_cache_stats
 from repro.net import EndBPF
@@ -46,18 +46,18 @@ if 2000 not in HELPERS_BY_ID:
 # Stamps mark=1, then gives the host a chance to mutate the FIB while
 # the batch is mid-flight.
 MARK1_AND_FLIP_ASM = """
-    mov r2, 1
-    stxw [r1+8], r2                ; ctx->mark = 1
+    r2 = 1
+    *(u32 *)(r1 + 8) = r2          ; ctx->mark = 1
     call test_fib_flip
-    mov r0, 0                      ; BPF_OK
+    r0 = 0                         ; BPF_OK
     exit
 """
 
 # The replacement route's program: stamps mark=2.
 MARK2_ASM = """
-    mov r2, 2
-    stxw [r1+8], r2                ; ctx->mark = 2
-    mov r0, 0                      ; BPF_OK
+    r2 = 2
+    *(u32 *)(r1 + 8) = r2          ; ctx->mark = 2
+    r0 = 0                         ; BPF_OK
     exit
 """
 
@@ -67,8 +67,8 @@ def _build():
     clear_handler_cache()
     _FLIP.clear()
     node = make_router()
-    prog_a = Program(MARK1_AND_FLIP_ASM, name="mark1_flip", allowed_helpers=None)
-    prog_b = Program(MARK2_ASM, name="mark2", allowed_helpers=None)
+    prog_a = load_text(MARK1_AND_FLIP_ASM, name="mark1_flip", allowed_helpers=None)
+    prog_b = load_text(MARK2_ASM, name="mark2", allowed_helpers=None)
     node.add_route(f"{FUNC_SEGMENT}/128", encap=EndBPF(prog_a))
 
     def flip(n):

@@ -71,7 +71,7 @@ def test_end_prog_behaves_as_end(jit):
 def test_end_t_prog_redirects_via_table(jit):
     node = fresh_router()
     node.add_route("fc00:2::/64", via="fc00:2::1", dev="eth1", table_id=254)
-    node.add_route(f"{SEG}/128", encap=EndBPF(end_t_prog(table_id=254, jit=jit)))
+    node.add_route(f"{SEG}/128", encap=EndBPF(end_t_prog(jit=jit)))
     out = push(node, srv6_pkt())
     assert out is not None
     assert out.dst == pton("fc00:2::2")
